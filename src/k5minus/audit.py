@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from . import case_c, case_d, case_e
 from .bridges import bridge_containing_edge, compute_bridges
-from .extractor import _analyze_with_path
+from .extractor import resolve
 from .finder import BudgetExceeded, BudgetTracker, SearchBudget
 from .graphs import Graph
 from .tables import (
@@ -102,7 +102,7 @@ _EXPECT_KIND = {
 
 def _fresh_ctx(g: Graph, budget: SearchBudget | None):
     tracker = BudgetTracker((budget or SearchBudget()).node_limit)
-    return Ctx(g, tracker, [], redispatch=_analyze_with_path)
+    return Ctx(g, tracker, [])
 
 
 def _record(report, name, group, expected, kind):
@@ -343,7 +343,7 @@ def _audit_c_ii(report: AuditReport, budget):
     ctx = _fresh_ctx(g, budget)
     bridges = compute_bridges(g, set(w.vertex_set()) | set(cfg.P), hp)
     u3b = bridge_containing_edge(bridges, 6, 21)
-    step = case_c._c_ii_1(ctx, w, cfg.P, cfg.p1, u3b, [5], 0, True)
+    step = case_c.case_c_ii(ctx, w, cfg.P, cfg.p1, u3b, {5}, 0, True)
     _record(report, "fig_cii1_cut", "figure", "CUT", _step_kind(step))
 
     # (c)(ii)2: rim pair with an escape re-enters (c)(i); without one it cuts
@@ -356,7 +356,7 @@ def _audit_c_ii(report: AuditReport, budget):
         ctx = _fresh_ctx(g, budget)
         bridges = compute_bridges(g, set(w.vertex_set()) | set(cfg.P), hp)
         u3b = bridge_containing_edge(bridges, 6, 21)
-        step = case_c._case_c_ii(
+        step = case_c.case_c_ii(
             ctx, w, cfg.P, cfg.p1, u3b, set(u3b.attachments) - {6}, 0, True
         )
         _record(report, f"fig_cii2_{name}", "figure", expected, _step_kind(step))
@@ -438,7 +438,7 @@ def _audit_e_figures(report: AuditReport, budget):
         ctx = _fresh_ctx(g, budget)
         bridges = compute_bridges(g, set(w.vertex_set()), he)
         u1b = bridge_containing_edge(bridges, 2, 17)
-        return case_e.run(ctx, w, u1b, 0, True)
+        return resolve(ctx, case_e.run(ctx, w, u1b, 0, True))
 
     # (e)1 pocket on P1 with an escape from the clipped part: re-dispatch
     step = run_e({(2, 17), (17, 1), (15, 6)}, 18)

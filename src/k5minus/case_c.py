@@ -9,39 +9,29 @@ from __future__ import annotations
 
 from .bridges import bridge_containing_edge, bridge_path, compute_bridges
 from .tables import K5MINUS, SHORTER_W4, c1_case, c1_outcome, outcome_rank
-from .wheel import WheelW4, subpath
+from .wheel import WheelW4, improve_once, subpath  # improve_once: only for perfbench/tracing.py
 from ._work import (
     MAX_DEPTH,
+    Corner,
     Ctx,
-    StepBudget,
+    Pocket,
     StepFallback,
-    StepReplace,
     assemble_case_b,
     claim_k5minus,
     claim_shorter,
     cut_or_scan,
     eset,
+    fourth_neighbors,
     interior,
     minimal_pair,
+    paired_rims,
     safe_join,
     search_path,
-    stitch_path,
-    try_cut,
+    settle,
+    spoke_pocket,
     vset,
     _escalate,
 )
-from .finder import BudgetExceeded
-from .wheel import improve_once
-
-
-def _h_neighbors(edge_set, v):
-    out = set()
-    for a, b in edge_set:
-        if a == v:
-            out.add(b)
-        elif b == v:
-            out.add(a)
-    return out
 
 
 def run(
@@ -64,7 +54,7 @@ def run(
 
     hp_v = hv | set(P)
     hp_e = he | eset(P)
-    fourth = sorted(u for u in g.neighbors(v3) if u not in _h_neighbors(he, v3))
+    fourth = fourth_neighbors(g, he, v3)
     if not fourth:
         return StepFallback("c:no_fourth_neighbor_of_v3")
     u3 = preferred_u3 if preferred_u3 in fourth else fourth[0]
@@ -109,7 +99,7 @@ def run(
     if q3 is not None:
         q_path = bridge_path(g, by_vertex[q3], v3, q3)
         return case_c_i(ctx, h, P, p1, q_path, q3, depth, spokes_main)
-    return _case_c_ii(ctx, h, P, p1, U3, att, depth, spokes_main)
+    return case_c_ii(ctx, h, P, p1, U3, att, depth, spokes_main)
 
 
 # -- (i): U3 reaches the interior of R4 --------------------------------------
@@ -353,198 +343,56 @@ def _c_residual_canonical(ctx: Ctx, h, P, p1, Q, q3, r1, col, r_path, depth, spo
 # -- (ii): U3 confined to p1R2v3, R3, P3 -------------------------------------
 
 
-def _case_c_ii(ctx: Ctx, h, P, p1, U3, att, depth, spokes_main):
+def case_c_ii(ctx: Ctx, h, P, p1, U3, att, depth, spokes_main):
+    """The spoke pocket at v3 when U3 meets P3, else the paired rims at v3."""
     g = ctx.g
-    total = h.total_spoke_length
     v = h.hub
     v1, v2, v3, v4 = h.smr
-    P3 = h.spokes[2]
+    P1, P2, P3, P4 = h.spokes
+    R1, R2, R3, R4 = h.rim
+    p1R2v3 = subpath(R2, p1, v3)
+    corner = Corner(ctx, h, 2, P, P3, ((1, p1R2v3), (2, R3)), "c_ii")
     if not att:
-        step = try_cut(ctx, {v3}, "c_ii:pendant", total)
-        return step if step is not None else StepFallback("c_ii:pendant_cut_failed")
-    att_p3 = sorted(att & (set(P3) - {v3}))
-    if att_p3:
-        return _c_ii_1(ctx, h, P, p1, U3, att_p3, depth, spokes_main)
-    return _c_ii_2(ctx, h, P, p1, U3, att, depth, spokes_main)
-
-
-def _c_ii_1(ctx: Ctx, h, P, p1, U3, att_p3, depth, spokes_main):
-    """U3 attaches to P3 beyond v3: the two-path family on the spoke."""
-    g = ctx.g
-    everything = frozenset(range(g.n))
-    total = h.total_spoke_length
-    v = h.hub
-    v1, v2, v3, v4 = h.smr
-    P1, P2, P3, P4 = h.spokes
-    R1, R2, R3, R4 = h.rim
-    hv, he = set(h.vertex_set()), set(h.edge_set())
-    comp_e = he | eset(P)
-    ctx.emit("c_ii_1", "case", total)
-
-    v2R2p1 = subpath(R2, v2, p1)
-    p1R2v3 = subpath(R2, p1, v3)
-    free = everything - hv - set(P)
-    pair = minimal_pair(
-        g, v3, [x for x in P3 if x != v3], free | set(P3)
-    )
-    if pair is None:
-        return StepFallback("c_ii_1:no_pair")
-    px, py, x = pair
-    v3P3x = subpath(P3, v3, x)
-    g1v = set(p1R2v3) | set(R3) | set(P3)
-    g2v = (hv | set(P)) - g1v
-
-    sources = (set(px) | set(py)) - {v3, x}
-    allowed = (free - set(px) - set(py)) | (
-        set(v3P3x) - {v3, x} - set(px) - set(py)
-    )
-    r_path = search_path(g, sources, g2v, allowed)
-    if r_path is not None:
-        r1, r2 = r_path[0], r_path[-1]
-        if r1 in set(px) - {v3, x}:
-            px, py = py, px
-        comp_plus = comp_e | eset(px) | eset(py) | eset(r_path)
-        if r2 in (set(P1) - {v}) | set(R1) | (set(v2R2p1) - {p1}) | (set(P) - {p1}):
-            return claim_k5minus(ctx, comp_plus, h, "c_ii_1:k5m", spokes_main)
-        if r2 in interior(P2) | interior(P4):
-            return claim_shorter(ctx, comp_plus, h, "c_ii_1:short", spokes_main)
-        if r2 in interior(R4):
-            # replace the spoke P3 by vP3x + Px and hand off to (c)(i)
-            new_spoke = stitch_path(
-                eset(subpath(P3, v, x)) | eset(px), v, v3
-            )
-            q_new = safe_join(subpath(py, v3, r1), r_path)
-            if new_spoke is None or q_new is None:
-                return _escalate(ctx, comp_plus, h, "c_ii_1:stitch_failed", spokes_main)
-            h_new = WheelW4(v, (P1, P2, tuple(new_spoke), P4), h.smr, h.rim)
-            if h_new.verify(g) != []:
-                return _escalate(ctx, comp_plus, h, "c_ii_1:bad_wheel", spokes_main)
-            wit = improve_once(g, h_new, tracker=ctx.tracker)
-            if isinstance(wit, BudgetExceeded):
-                return StepBudget()
-            if wit is not None:
-                return StepReplace(wit.wheel, "c_ii_1:improved_replacement")
-            if depth >= MAX_DEPTH:
-                return StepFallback("c_ii_1:depth")
-            ctx.emit("c_ii_1", "spoke_detour", h_new.total_spoke_length)
-            return case_c_i(ctx, h_new, P, p1, q_new, r2, depth + 1, False)
-        return _escalate(ctx, comp_plus, h, "c_ii_1:odd_landing", spokes_main)
-
-    # no escape path: either a rim touch gives a shorter wheel, or {v3, x} cuts
-    tgt = (set(p1R2v3) | set(R3)) - {v3}
-    allowed2 = (free | set(P3) | set(px) | set(py)) - {v3}
-    path2 = search_path(g, sources, tgt, allowed2 - tgt)
-    if path2 is not None:
-        comp2 = comp_e | eset(px) | eset(py) | eset(path2)
-        return claim_shorter(ctx, comp2, h, "c_ii_1:pair_to_rim", spokes_main)
-    return cut_or_scan(
-        ctx, {v3, x}, [{v3, w} for w in P3 if w != v3], "c_ii_1:cut", total
+        return corner.pendant(ctx)
+    claims = (
+        (set(P1) - {v}) | set(R1) | (set(subpath(R2, v2, p1)) - {p1}) | (set(P) - {p1}),
+        interior(P2) | interior(P4),
     )
 
-
-def _c_ii_2(ctx: Ctx, h, P, p1, U3, att, depth, spokes_main):
-    """U3 attaches only on p1R2v3 and R3: the paired rim families."""
-    g = ctx.g
-    everything = frozenset(range(g.n))
-    total = h.total_spoke_length
-    v = h.hub
-    v1, v2, v3, v4 = h.smr
-    P1, P2, P3, P4 = h.spokes
-    R1, R2, R3, R4 = h.rim
-    hv, he = set(h.vertex_set()), set(h.edge_set())
-    comp_e = he | eset(P)
-    ctx.emit("c_ii_2", "case", total)
-
-    p1R2v3 = subpath(R2, p1, v3)
-    v3R2p1 = tuple(reversed(p1R2v3))
-    g1v = set(p1R2v3) | set(R3) | set(P3)
-    g2v = (hv | set(P)) - g1v
-    free = everything - hv - set(P)
-
-    # family on the R2 side: endpoints prefer landing close to p1
-    pair_a = minimal_pair(
-        g, v3, [x for x in p1R2v3 if x != v3], free | set(v3R2p1)
-    )
-    x = pair_a[2] if pair_a else v3
-    if pair_a:
-        rw, rx, _ = pair_a
-        v3R2x = subpath(R2, v3, x)
-        sources = (set(rw) | set(rx)) - {v3, x}
-        allowed = (free - set(rw) - set(rx)) | (
-            set(v3R2x) - {v3, x} - set(rw) - set(rx)
+    if att & (set(P3) - {v3}):
+        ctx.emit("c_ii_1", "case", h.total_spoke_length)
+        pair = minimal_pair(g, v3, P3[:-1], corner.free | set(P3))
+        if pair is None:
+            return StepFallback("c_ii_1:no_pair")
+        px, py, x = pair
+        walls = set(px) | set(py)
+        inner = walls - {v3, x}
+        pocket = Pocket(
+            x=x,
+            sources=inner,
+            allowed=(corner.free - walls) | (set(subpath(P3, v3, x)) - {v3, x} - walls),
+            touch=inner,
+            touch_via=(corner.free | set(P3) | walls) - {v3},
+            walls=(px, py),
+            escape_walls=lambda: (px, py),
+            route=lambda r1, q_new: py if r1 in interior(px) else px,
+            cut_at=lambda: x,
         )
-        r_path = search_path(g, sources, g2v, allowed)
-        if r_path is not None:
-            return _c_ii_2_redispatch(
-                ctx, h, P, p1, rw, rx, x, r_path, "R2", depth, spokes_main
-            )
-
-    # family on the R3 side: endpoints prefer landing close to v4
-    pair_c = minimal_pair(
-        g, v3, [y for y in reversed(R3) if y != v3], free | set(R3)
-    )
-    y = pair_c[2] if pair_c else v3
-    if pair_c:
-        ry, rz, _ = pair_c
-        v3R3y = subpath(R3, v3, y)
-        sources = (set(ry) | set(rz)) - {v3, y}
-        allowed = (free - set(ry) - set(rz)) | (
-            set(v3R3y) - {v3, y} - set(ry) - set(rz)
+        return spoke_pocket(
+            ctx, corner, pocket, claims, interior(R4),
+            lambda h_new, q_new, r2, d: case_c_i(ctx, h_new, P, p1, q_new, r2, d, False),
+            depth, spokes_main,
         )
-        r_path = search_path(g, sources, g2v, allowed)
-        if r_path is not None:
-            return _c_ii_2_redispatch(
-                ctx, h, P, p1, ry, rz, y, r_path, "R3", depth, spokes_main
-            )
 
-    # a spoke-to-rim path would beat shortness
-    path3 = search_path(g, interior(P3), (set(p1R2v3) | set(R3)) - {v3}, free)
-    if path3 is not None:
-        return claim_shorter(ctx, comp_e | eset(path3), h, "c_ii_2:spoke_rim", spokes_main)
-    return cut_or_scan(
-        ctx,
-        {v3, x, y},
-        [{v3, a, b} for a in p1R2v3 for b in R3],
-        "c_ii_2:cut",
-        total,
+    def land(h_new, q_new, r2, comp, d):
+        step = settle(ctx, claims, r2, comp, h_new, "c_ii_2", spokes_main)
+        if step is None and r2 in interior(R4) and d < MAX_DEPTH:
+            ctx.emit("c_ii_2", "rim_replace", h_new.total_spoke_length)
+            step = case_c_i(ctx, h_new, P, p1, q_new, r2, d + 1, spokes_main)
+        if step is None:
+            step = _escalate(ctx, comp, h_new, "c_ii_2:odd_landing", spokes_main)
+        return step
+
+    return paired_rims(
+        ctx, corner, (p1R2v3[:-1], R3[:0:-1]), interior(P3), land, depth, spokes_main
     )
-
-
-def _c_ii_2_redispatch(ctx, h, P, p1, pa, pb, x, r_path, side, depth, spokes_main):
-    """Rim-replace one pair path, extend the other by R, re-enter (c)(i)."""
-    g = ctx.g
-    v = h.hub
-    v1, v2, v3, v4 = h.smr
-    R1, R2, R3, R4 = h.rim
-    v2R2p1 = subpath(R2, v2, p1)
-    r1, r2 = r_path[0], r_path[-1]
-    if r1 in set(pa) - {v3, x}:
-        feeder, replacement = pa, pb
-    else:
-        feeder, replacement = pb, pa
-    comp_plus = set(h.edge_set()) | eset(P) | eset(pa) | eset(pb) | eset(r_path)
-    if side == "R2":
-        kept = subpath(R2, v2, x)
-        new_seg = safe_join(kept, tuple(reversed(replacement)))
-        new_rim = (R1, new_seg, R3, R4) if new_seg else None
-    else:
-        kept = subpath(R3, y_end := x, v4)  # x names the pair endpoint on R3
-        new_seg = safe_join(replacement, kept)
-        new_rim = (R1, R2, new_seg, R4) if new_seg else None
-    if new_rim is None:
-        return _escalate(ctx, comp_plus, h, "c_ii_2:rim_stitch_failed", spokes_main)
-    h_new = WheelW4(h.hub, h.spokes, h.smr, new_rim)
-    if h_new.verify(g) != []:
-        return _escalate(ctx, comp_plus, h, "c_ii_2:bad_rim", spokes_main)
-    q_new = safe_join(subpath(feeder, v3, r1), r_path)
-    if q_new is None:
-        return _escalate(ctx, comp_plus, h, "c_ii_2:q_stitch_failed", spokes_main)
-    # same spokes, so the new wheel is exactly as short as the old one
-    if r2 in (set(h.spokes[0]) - {v}) | set(R1) | (set(v2R2p1) - {p1}) | (set(P) - {p1}):
-        return claim_k5minus(ctx, comp_plus, h_new, "c_ii_2:k5m", spokes_main)
-    if r2 in interior(h.spokes[1]) | interior(h.spokes[3]):
-        return claim_shorter(ctx, comp_plus, h_new, "c_ii_2:short", spokes_main)
-    if r2 in interior(R4) and depth < MAX_DEPTH:
-        ctx.emit("c_ii_2", "rim_replace", h_new.total_spoke_length)
-        return case_c_i(ctx, h_new, P, p1, q_new, r2, depth + 1, spokes_main)
-    return _escalate(ctx, comp_plus, h_new, "c_ii_2:odd_landing", spokes_main)

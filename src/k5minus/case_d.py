@@ -8,38 +8,27 @@ from __future__ import annotations
 
 from . import case_c
 from .bridges import bridge_containing_edge, bridge_path, compute_bridges
-from .finder import BudgetExceeded
 from .tables import K5MINUS, SHORTER_W4, d1_case, d1_outcome, outcome_rank
-from .wheel import WheelW4, improve_once, subpath
+from .wheel import WheelW4, improve_once, subpath  # improve_once: only for perfbench/tracing.py
 from ._work import (
     MAX_DEPTH,
+    Corner,
     Ctx,
-    StepBudget,
+    Pocket,
     StepFallback,
-    StepReplace,
     claim_k5minus,
     claim_shorter,
     cut_or_scan,
     eset,
+    fourth_neighbors,
     interior,
-    minimal_pair,
-    safe_join,
+    paired_rims,
     search_path,
-    stitch_path,
-    try_cut,
+    settle,
+    spoke_pocket,
     vset,
     _escalate,
 )
-
-
-def _h_neighbors(edge_set, v):
-    out = set()
-    for a, b in edge_set:
-        if a == v:
-            out.add(b)
-        elif b == v:
-            out.add(a)
-    return out
 
 
 def _to_case_c(ctx, h, q_path, t, old_p, depth, spokes_main):
@@ -67,7 +56,7 @@ def run(ctx: Ctx, h: WheelW4, P, p1, depth: int, spokes_main: bool):
 
     hp_v = hv | set(P)
     hp_e = he | eset(P)
-    fourth = sorted(u for u in g.neighbors(v3) if u not in _h_neighbors(he, v3))
+    fourth = fourth_neighbors(g, he, v3)
     if not fourth:
         return StepFallback("d:no_fourth_neighbor_of_v3")
     u3 = fourth[0]
@@ -103,7 +92,50 @@ def run(ctx: Ctx, h: WheelW4, P, p1, depth: int, spokes_main: bool):
         q3 = att_p1[0]  # closest to the hub along P1
         q_path = bridge_path(g, U3, v3, q3)
         return case_d_i(ctx, h, P, p1, q_path, q3, depth, spokes_main)
-    return _case_d_ii(ctx, h, P, p1, U3, att, depth, spokes_main)
+
+    # (ii): U3 confined to R2, R3, p1P3v3: the spoke pocket at v3 when U3
+    # meets p1P3v3, else the paired rims at v3
+    corner = Corner(ctx, h, 2, P, p1P3v3, ((1, R2), (2, R3)), "d_ii")
+    if not att:
+        return corner.pendant(ctx)
+    on_spoke = sorted(att & (set(p1P3v3) - {v3}), key=P3.index)
+    if on_spoke:
+        q3 = on_spoke[0]  # closest to p1 along P3
+        ctx.emit("d_ii_1", "case", total)
+        v3P3q3 = subpath(P3, v3, q3)
+        pocket = Pocket(
+            x=q3,
+            sources=set(v3P3q3) - {q3},
+            allowed=corner.free,
+            touch=set(v3P3q3) - {v3},
+            touch_via=corner.free,
+            walls=(),
+            escape_walls=lambda: (bridge_path(g, U3, v3, q3),),
+            route=lambda r1, q_new: search_path(g, {q3}, {v3}, set(U3.core) - set(q_new)),
+            cut_at=lambda: corner.pocket_end(g, q3),
+        )
+        claims = (k5_zone, interior(P2) | interior(P4) | interior(R1) | interior(R4))
+        return spoke_pocket(
+            ctx, corner, pocket, claims, interior(P1),
+            lambda h_new, q_new, r2, d: case_d_i(ctx, h_new, P, p1, q_new, r2, d, False),
+            depth, spokes_main,
+        )
+
+    def land(h_new, q_new, r2, comp, d):
+        step = settle(ctx, (k5_zone, interior(P2) | interior(P4)), r2, comp, h_new, "d_ii_2",
+                      spokes_main)
+        if step is not None:
+            return step
+        if r2 in interior(R1) | interior(R4):
+            return _to_case_c(ctx, h_new, q_new, r2, P, d, spokes_main)
+        if r2 in interior(P1) and d < MAX_DEPTH:
+            ctx.emit("d_ii_2", "rim_replace", h_new.total_spoke_length)
+            return case_d_i(ctx, h_new, P, p1, q_new, r2, d + 1, spokes_main)
+        return _escalate(ctx, comp, h_new, "d_ii_2:odd_landing", spokes_main)
+
+    return paired_rims(
+        ctx, corner, (R2[1:-1], R3[-2:0:-1]), set(p1P3v3) - {v3}, land, depth, spokes_main
+    )
 
 
 # -- (i): U3 reaches the interior of P1 --------------------------------------
@@ -213,202 +245,3 @@ def _d_residual(ctx: Ctx, h, P, p1, Q, q3, cands, depth, spokes_main):
         r2cut = four[0][1]
     shapes = [{a, v, b} for a in R1 for b in R2]
     return cut_or_scan(ctx, {r1cut, v, r2cut}, shapes, "d_i:res_cut", total)
-
-
-# -- (ii): U3 confined to R2, R3, p1P3v3 -------------------------------------
-
-
-def _case_d_ii(ctx: Ctx, h, P, p1, U3, att, depth, spokes_main):
-    g = ctx.g
-    total = h.total_spoke_length
-    v3 = h.smr[2]
-    P3 = h.spokes[2]
-    p1P3v3 = subpath(P3, p1, v3)
-    if not att:
-        step = try_cut(ctx, {v3}, "d_ii:pendant", total)
-        return step if step is not None else StepFallback("d_ii:pendant_cut_failed")
-    att_spoke = sorted(att & (set(p1P3v3) - {v3}), key=lambda x: P3.index(x))
-    if att_spoke:
-        return _d_ii_1(ctx, h, P, p1, U3, att_spoke, depth, spokes_main)
-    return _d_ii_2(ctx, h, P, p1, U3, att, depth, spokes_main)
-
-
-def _d_ii_1(ctx: Ctx, h, P, p1, U3, att_spoke, depth, spokes_main):
-    g = ctx.g
-    everything = frozenset(range(g.n))
-    total = h.total_spoke_length
-    v = h.hub
-    v1, v2, v3, v4 = h.smr
-    P1, P2, P3, P4 = h.spokes
-    R1, R2, R3, R4 = h.rim
-    hv, he = set(h.vertex_set()), set(h.edge_set())
-    comp_e = he | eset(P)
-    ctx.emit("d_ii_1", "case", total)
-
-    q3 = att_spoke[0]  # closest to p1 along P3
-    vP3p1 = subpath(P3, v, p1)
-    v3P3q3 = subpath(P3, v3, q3)
-    g1v = vset(R2, R3, subpath(P3, p1, v3))
-    g2v = (hv | set(P)) - g1v
-    free = everything - hv - set(P)
-
-    sources = set(v3P3q3) - {q3}
-    r_path = search_path(g, sources, g2v, free)
-    if r_path is not None:
-        r1, r2 = r_path[0], r_path[-1]
-        q_b = bridge_path(g, U3, v3, q3)
-        comp_plus = comp_e | eset(r_path) | eset(q_b)
-        if r2 in (set(P) - {p1}) | (set(vP3p1) - {p1}):
-            return claim_k5minus(ctx, comp_plus, h, "d_ii_1:k5m", spokes_main)
-        if r2 in interior(P2) | interior(P4) | interior(R1) | interior(R4):
-            return claim_shorter(ctx, comp_plus, h, "d_ii_1:short", spokes_main)
-        if r2 in interior(P1):
-            q_new = safe_join(subpath(P3, v3, r1), r_path)
-            px = None
-            if q_new is not None:
-                px = search_path(
-                    g, {q3}, {v3}, set(U3.core) - set(q_new)
-                )
-            if px is None:
-                return _escalate(ctx, comp_plus, h, "d_ii_1:px_failed", spokes_main)
-            new_spoke = stitch_path(
-                eset(subpath(P3, v, q3)) | eset(px), v, v3
-            )
-            if new_spoke is None:
-                return _escalate(ctx, comp_plus, h, "d_ii_1:stitch_failed", spokes_main)
-            h_new = WheelW4(v, (P1, P2, tuple(new_spoke), P4), h.smr, h.rim)
-            if h_new.verify(g) != []:
-                return _escalate(ctx, comp_plus, h, "d_ii_1:bad_wheel", spokes_main)
-            wit = improve_once(g, h_new, tracker=ctx.tracker)
-            if isinstance(wit, BudgetExceeded):
-                return StepBudget()
-            if wit is not None:
-                return StepReplace(wit.wheel, "d_ii_1:improved_replacement")
-            if depth >= MAX_DEPTH:
-                return StepFallback("d_ii_1:depth")
-            ctx.emit("d_ii_1", "spoke_detour", h_new.total_spoke_length)
-            return case_d_i(ctx, h_new, P, p1, q_new, r2, depth + 1, False)
-        return _escalate(ctx, comp_plus, h, "d_ii_1:odd_landing", spokes_main)
-
-    path2 = search_path(
-        g, set(v3P3q3) - {v3}, (set(R2) | set(R3)) - {v3}, free
-    )
-    if path2 is not None:
-        return claim_shorter(ctx, comp_e | eset(path2), h, "d_ii_1:to_rim", spokes_main)
-
-    # all attachment activity hugs the spoke tail: {v3, q'3} is a cut
-    p1P3v3 = subpath(P3, p1, v3)
-    seg_bridges = compute_bridges(g, set(p1P3v3), eset(p1P3v3))
-    small = [b for b in seg_bridges if v not in b.core]
-    attachments = set()
-    for b in small:
-        attachments |= set(b.attachments)
-    if attachments:
-        qp3 = min(attachments, key=lambda x: P3.index(x))
-    else:
-        qp3 = q3
-    return cut_or_scan(
-        ctx, {v3, qp3}, [{v3, w} for w in p1P3v3 if w != v3], "d_ii_1:cut", total
-    )
-
-
-def _d_ii_2(ctx: Ctx, h, P, p1, U3, att, depth, spokes_main):
-    g = ctx.g
-    everything = frozenset(range(g.n))
-    total = h.total_spoke_length
-    v = h.hub
-    v1, v2, v3, v4 = h.smr
-    P1, P2, P3, P4 = h.spokes
-    R1, R2, R3, R4 = h.rim
-    hv, he = set(h.vertex_set()), set(h.edge_set())
-    comp_e = he | eset(P)
-    ctx.emit("d_ii_2", "case", total)
-
-    p1P3v3 = subpath(P3, p1, v3)
-    g1v = vset(R2, R3, p1P3v3)
-    g2v = (hv | set(P)) - g1v
-    free = everything - hv - set(P)
-
-    pair_a = minimal_pair(
-        g, v3, [R2[i] for i in range(1, len(R2) - 1)], free | set(R2)
-    )
-    x = pair_a[2] if pair_a else v3
-    if pair_a:
-        rw, rx, _ = pair_a
-        v3R2x = subpath(R2, v3, x)
-        sources = (set(rw) | set(rx)) - {v3, x}
-        allowed = (free - set(rw) - set(rx)) | (
-            set(v3R2x) - {v3, x} - set(rw) - set(rx)
-        )
-        r_path = search_path(g, sources, g2v, allowed)
-        if r_path is not None:
-            return _d_ii_2_redispatch(
-                ctx, h, P, p1, rw, rx, x, r_path, "R2", depth, spokes_main
-            )
-
-    pair_c = minimal_pair(
-        g, v3, [R3[i] for i in range(len(R3) - 2, 0, -1)], free | set(R3)
-    )
-    y = pair_c[2] if pair_c else v3
-    if pair_c:
-        ry, rz, _ = pair_c
-        v3R3y = subpath(R3, v3, y)
-        sources = (set(ry) | set(rz)) - {v3, y}
-        allowed = (free - set(ry) - set(rz)) | (
-            set(v3R3y) - {v3, y} - set(ry) - set(rz)
-        )
-        r_path = search_path(g, sources, g2v, allowed)
-        if r_path is not None:
-            return _d_ii_2_redispatch(
-                ctx, h, P, p1, ry, rz, y, r_path, "R3", depth, spokes_main
-            )
-
-    path3 = search_path(g, set(p1P3v3) - {v3}, (set(R2) | set(R3)) - {v3}, free)
-    if path3 is not None:
-        return claim_shorter(ctx, comp_e | eset(path3), h, "d_ii_2:to_rim", spokes_main)
-    return cut_or_scan(
-        ctx,
-        {v3, x, y},
-        [{v3, a, b} for a in R2 for b in R3],
-        "d_ii_2:cut",
-        total,
-    )
-
-
-def _d_ii_2_redispatch(ctx, h, P, p1, pa, pb, x, r_path, side, depth, spokes_main):
-    g = ctx.g
-    v = h.hub
-    v1, v2, v3, v4 = h.smr
-    P1, P2, P3, P4 = h.spokes
-    R1, R2, R3, R4 = h.rim
-    r1, r2 = r_path[0], r_path[-1]
-    if r1 in set(pa) - {v3, x}:
-        feeder, replacement = pa, pb
-    else:
-        feeder, replacement = pb, pa
-    comp_plus = set(h.edge_set()) | eset(P) | eset(pa) | eset(pb) | eset(r_path)
-    if side == "R2":
-        new_seg = safe_join(subpath(R2, v2, x), tuple(reversed(replacement)))
-        new_rim = (R1, new_seg, R3, R4) if new_seg else None
-    else:
-        new_seg = safe_join(replacement, subpath(R3, x, v4))
-        new_rim = (R1, R2, new_seg, R4) if new_seg else None
-    if new_rim is None:
-        return _escalate(ctx, comp_plus, h, "d_ii_2:rim_stitch_failed", spokes_main)
-    h_new = WheelW4(h.hub, h.spokes, h.smr, new_rim)
-    if h_new.verify(g) != []:
-        return _escalate(ctx, comp_plus, h, "d_ii_2:bad_rim", spokes_main)
-    q_new = safe_join(subpath(feeder, v3, r1), r_path)
-    if q_new is None:
-        return _escalate(ctx, comp_plus, h, "d_ii_2:q_stitch_failed", spokes_main)
-    vP3p1 = subpath(P3, v, p1)
-    if r2 in {v, v1} | set(interior(P)) | (set(vP3p1) - {v, p1}):
-        return claim_k5minus(ctx, comp_plus, h_new, "d_ii_2:k5m", spokes_main)
-    if r2 in interior(R1) | interior(R4):
-        return _to_case_c(ctx, h_new, q_new, r2, P, depth, spokes_main)
-    if r2 in interior(P2) | interior(P4):
-        return claim_shorter(ctx, comp_plus, h_new, "d_ii_2:short", spokes_main)
-    if r2 in interior(P1) and depth < MAX_DEPTH:
-        ctx.emit("d_ii_2", "rim_replace", h_new.total_spoke_length)
-        return case_d_i(ctx, h_new, P, p1, q_new, r2, depth + 1, spokes_main)
-    return _escalate(ctx, comp_plus, h_new, "d_ii_2:odd_landing", spokes_main)

@@ -3,210 +3,70 @@
 Either an attachment sits on P1 beyond v1 (pocket along the spoke: replace
 the spoke and re-dispatch, or cut {v1, q'1}), or everything hugs the two rim
 segments (paired-path families, rim replacement and re-dispatch, or cut
-{v1, x, y}).
+{v1, x, y}).  Re-dispatch is a StepHandoff that the extractor classifies.
 """
 
 from __future__ import annotations
 
+# compute_bridges and improve_once are kept only for perfbench/tracing.py
 from .bridges import Bridge, bridge_path, compute_bridges
-from .finder import BudgetExceeded
 from .wheel import WheelW4, improve_once, subpath
 from ._work import (
     MAX_DEPTH,
+    Corner,
     Ctx,
-    StepBudget,
+    Pocket,
     StepFallback,
-    StepReplace,
-    claim_shorter,
-    cut_or_scan,
-    eset,
-    minimal_pair,
-    safe_join,
-    search_path,
-    stitch_path,
-    try_cut,
+    StepHandoff,
+    paired_rims,
+    spoke_pocket,
     vset,
-    _escalate,
 )
 
 
 def run(ctx: Ctx, h: WheelW4, U1: Bridge, depth: int, spokes_main: bool):
     g = ctx.g
-    total = h.total_spoke_length
-    v = h.hub
-    v1, v2, v3, v4 = h.smr
+    v1 = h.smr[0]
     P1 = h.spokes[0]
     R1, R4 = h.rim[0], h.rim[3]
-    ctx.emit("e", "case", total)
+    ctx.emit("e", "case", h.total_spoke_length)
+    corner = Corner(ctx, h, 0, (), P1, ((0, R1), (3, R4)), "e")
 
     att = set(U1.attachments) - {v1}
     if not att:
-        step = try_cut(ctx, {v1}, "e:pendant", total)
-        return step if step is not None else StepFallback("e:pendant_cut_failed")
-    g1v = vset(R1, R4, P1)
-    if not att <= g1v:
+        return corner.pendant(ctx)
+    if not att <= vset(R1, R4, P1):
         return StepFallback("e:unconfined_attachments")
-    att_p1 = sorted(att & (set(P1) - {v1}), key=lambda x: P1.index(x))
+
+    att_p1 = sorted(att & (set(P1) - {v1}), key=P1.index)
     if att_p1:
-        return _e_1(ctx, h, U1, att_p1, depth, spokes_main)
-    return _e_2(ctx, h, U1, att, depth, spokes_main)
-
-
-def _e_1(ctx: Ctx, h, U1, att_p1, depth, spokes_main):
-    """An attachment q1 on P1 - v1; q1 chosen closest to the hub."""
-    g = ctx.g
-    everything = frozenset(range(g.n))
-    total = h.total_spoke_length
-    v = h.hub
-    v1, v2, v3, v4 = h.smr
-    P1, P2, P3, P4 = h.spokes
-    R1, R2, R3, R4 = h.rim
-    hv, he = set(h.vertex_set()), set(h.edge_set())
-    ctx.emit("e_1", "case", total)
-
-    q1 = att_p1[0]
-    px = bridge_path(g, U1, v1, q1)
-    v1P1q1 = subpath(P1, v1, q1)
-    g2v = hv - vset(R1, R4, P1)
-
-    sources = set(v1P1q1) - {q1}
-    allowed = everything - hv - set(U1.core)
-    r_path = search_path(g, sources, g2v, allowed)
-    if r_path is not None:
-        r1, r2 = r_path[0], r_path[-1]
-        p_new = safe_join(subpath(P1, v1, r1), r_path)
-        new_spoke = stitch_path(eset(subpath(P1, q1, v)) | eset(px), v, v1)
-        comp_plus = he | eset(px) | eset(r_path)
-        if p_new is None or new_spoke is None:
-            return _escalate(ctx, comp_plus, h, "e_1:stitch_failed", spokes_main)
-        h_new = WheelW4(v, (tuple(new_spoke), P2, P3, P4), h.smr, h.rim)
-        if h_new.verify(g) != []:
-            return _escalate(ctx, comp_plus, h, "e_1:bad_wheel", spokes_main)
-        wit = improve_once(g, h_new, tracker=ctx.tracker)
-        if isinstance(wit, BudgetExceeded):
-            return StepBudget()
-        if wit is not None:
-            return StepReplace(wit.wheel, "e_1:improved_replacement")
-        if depth >= MAX_DEPTH or ctx.redispatch is None:
-            return StepFallback("e_1:depth")
-        ctx.emit("e_1", "spoke_detour", h_new.total_spoke_length)
-        return ctx.redispatch(ctx, h_new, p_new, r2, depth + 1, False)
-
-    path2 = search_path(
-        g, set(v1P1q1) - {v1}, (set(R1) | set(R4)) - {v1}, everything - hv
-    )
-    if path2 is not None:
-        return claim_shorter(
-            ctx, he | eset(px) | eset(path2), h, "e_1:to_rim", spokes_main
+        q1 = att_p1[0]  # closest to the hub
+        ctx.emit("e_1", "case", h.total_spoke_length)
+        px = bridge_path(g, U1, v1, q1)
+        v1P1q1 = subpath(P1, v1, q1)
+        pocket = Pocket(
+            x=q1,
+            sources=set(v1P1q1) - {q1},
+            allowed=corner.free - set(U1.core),
+            touch=set(v1P1q1) - {v1},
+            touch_via=corner.free,
+            walls=(px,),
+            escape_walls=lambda: (px,),
+            route=lambda r1, p_new: px,
+            cut_at=lambda: corner.pocket_end(g, q1),
+        )
+        return spoke_pocket(
+            ctx, corner, pocket, ((), ()), corner.far,
+            lambda h_new, p_new, r2, d: StepHandoff(h_new, p_new, r2, d, False),
+            depth, spokes_main,
         )
 
-    # U1 hugs P1: the P1-bridge pocket argument gives {v1, q'1}
-    seg_bridges = compute_bridges(g, set(P1), eset(P1))
-    small = [b for b in seg_bridges if v2 not in b.core]
-    attachments = set()
-    for b in small:
-        attachments |= set(b.attachments)
-    if attachments:
-        qp1 = min(attachments, key=lambda x: P1.index(x))  # closest to the hub
-    else:
-        qp1 = q1
-    return cut_or_scan(
-        ctx, {v1, qp1}, [{v1, w} for w in P1 if w != v1], "e_1:cut", total
+    def land(h_new, p_new, r2, comp, d):
+        if d >= MAX_DEPTH:
+            return StepFallback("e_2:depth")
+        ctx.emit("e_2", "rim_replace", h_new.total_spoke_length)
+        return StepHandoff(h_new, p_new, r2, d + 1, spokes_main)
+
+    return paired_rims(
+        ctx, corner, (R1[-2:0:-1], R4[1:-1]), set(P1) - {v1}, land, depth, spokes_main
     )
-
-
-def _e_2(ctx: Ctx, h, U1, att, depth, spokes_main):
-    """U1 attaches only on R1 and R4: the paired rim families at v1."""
-    g = ctx.g
-    everything = frozenset(range(g.n))
-    total = h.total_spoke_length
-    v = h.hub
-    v1, v2, v3, v4 = h.smr
-    P1, P2, P3, P4 = h.spokes
-    R1, R2, R3, R4 = h.rim
-    hv, he = set(h.vertex_set()), set(h.edge_set())
-    ctx.emit("e_2", "case", total)
-
-    g2v = hv - vset(R1, R4, P1)
-    free = everything - hv
-
-    # family on R1: pair endpoints prefer landing close to v2
-    pair_a = minimal_pair(
-        g, v1, [R1[i] for i in range(len(R1) - 2, 0, -1)], free | set(R1)
-    )
-    x = pair_a[2] if pair_a else v1
-    if pair_a:
-        rw, rx, _ = pair_a
-        v1R1x = subpath(R1, v1, x)
-        sources = (set(rw) | set(rx)) - {v1, x}
-        allowed = (free - set(rw) - set(rx)) | (
-            set(v1R1x) - {v1, x} - set(rw) - set(rx)
-        )
-        r_path = search_path(g, sources, g2v, allowed)
-        if r_path is not None:
-            step = _e_2_redispatch(
-                ctx, h, rw, rx, x, r_path, "R1", depth, spokes_main
-            )
-            if step is not None:
-                return step
-
-    # family on R4: pair endpoints prefer landing close to v4
-    pair_c = minimal_pair(
-        g, v1, [R4[i] for i in range(1, len(R4) - 1)], free | set(R4)
-    )
-    y = pair_c[2] if pair_c else v1
-    if pair_c:
-        ry, rz, _ = pair_c
-        v1R4y = subpath(R4, v1, y)
-        sources = (set(ry) | set(rz)) - {v1, y}
-        allowed = (free - set(ry) - set(rz)) | (
-            set(v1R4y) - {v1, y} - set(ry) - set(rz)
-        )
-        r_path = search_path(g, sources, g2v, allowed)
-        if r_path is not None:
-            step = _e_2_redispatch(
-                ctx, h, ry, rz, y, r_path, "R4", depth, spokes_main
-            )
-            if step is not None:
-                return step
-
-    path3 = search_path(g, set(P1) - {v1}, (set(R1) | set(R4)) - {v1}, free)
-    if path3 is not None:
-        return claim_shorter(ctx, he | eset(path3), h, "e_2:to_rim", spokes_main)
-    return cut_or_scan(
-        ctx,
-        {v1, x, y},
-        [{v1, a, b} for a in R1 for b in R4],
-        "e_2:cut",
-        total,
-    )
-
-
-def _e_2_redispatch(ctx, h, pa, pb, x, r_path, side, depth, spokes_main):
-    g = ctx.g
-    v1 = h.smr[0]
-    R1, R2, R3, R4 = h.rim
-    r1, r2 = r_path[0], r_path[-1]
-    if r1 in set(pa) - {v1, x}:
-        feeder, replacement = pa, pb
-    else:
-        feeder, replacement = pb, pa
-    comp_plus = set(h.edge_set()) | eset(pa) | eset(pb) | eset(r_path)
-    if side == "R1":
-        new_seg = safe_join(replacement, subpath(R1, x, h.smr[1]))
-        new_rim = (new_seg, R2, R3, R4) if new_seg else None
-    else:
-        new_seg = safe_join(subpath(R4, h.smr[3], x), tuple(reversed(replacement)))
-        new_rim = (R1, R2, R3, new_seg) if new_seg else None
-    if new_rim is None:
-        return _escalate(ctx, comp_plus, h, "e_2:rim_stitch_failed", spokes_main)
-    h_new = WheelW4(h.hub, h.spokes, h.smr, new_rim)
-    if h_new.verify(g) != []:
-        return _escalate(ctx, comp_plus, h, "e_2:bad_rim", spokes_main)
-    p_new = safe_join(subpath(feeder, v1, r1), r_path)
-    if p_new is None:
-        return _escalate(ctx, comp_plus, h, "e_2:p_stitch_failed", spokes_main)
-    if depth >= MAX_DEPTH or ctx.redispatch is None:
-        return StepFallback("e_2:depth")
-    ctx.emit("e_2", "rim_replace", h_new.total_spoke_length)
-    return ctx.redispatch(ctx, h_new, p_new, r2, depth + 1, spokes_main)

@@ -31,10 +31,12 @@ from ._work import (
     StepCut,
     StepFallback,
     StepFound,
+    StepHandoff,
     StepImprove,
     StepReplace,
     assemble_case_a,
     assemble_case_b,
+    fourth_neighbors,
     interior,
 )
 
@@ -102,6 +104,15 @@ def classify_p1(h: WheelW4, p1: int) -> str:
     if p1 in interior(h.spokes[2]):
         return "D"
     return "E"
+
+
+def resolve(ctx: Ctx, step):
+    """Follow case (e)'s hand-offs through the dispatcher to a final step."""
+    while isinstance(step, StepHandoff):
+        step = _analyze_with_path(
+            ctx, step.wheel, step.path, step.p1, step.depth, step.spokes_main
+        )
+    return step
 
 
 def _analyze_with_path(ctx: Ctx, h: WheelW4, P, p1, depth: int, spokes_main: bool):
@@ -173,13 +184,7 @@ def _analyze(ctx: Ctx, h: WheelW4, depth: int):
             return case_d.run(ctx, h, P, p1, depth, True)
 
     # everything from v1 stays inside R1, R4, P1
-    nh_v1 = set()
-    for a, b in he:
-        if v1 == a:
-            nh_v1.add(b)
-        elif v1 == b:
-            nh_v1.add(a)
-    fourth = sorted(u for u in g.neighbors(v1) if u not in nh_v1)
+    fourth = fourth_neighbors(g, he, v1)
     if not fourth:
         return StepFallback("analyze:no_fourth_neighbor")
     u1_bridge = bridge_containing_edge(bridges, v1, fourth[0])
@@ -191,7 +196,7 @@ def extract(
 ) -> Found | NotFourConnected | GaveUp:
     tracker = BudgetTracker((budget or SearchBudget()).node_limit)
     trace: list[dict] = []
-    ctx = Ctx(g, tracker, trace, redispatch=_analyze_with_path)
+    ctx = Ctx(g, tracker, trace)
 
     if g.n <= 4:
         return NotFourConnected(Witness("too_small"), trace, tracker.used)
@@ -210,7 +215,8 @@ def extract(
         return GaveUp("budget:find_w4", trace, tracker.used)
     if w is None:
         sep = find_separator(g, 4)
-        assert sep is not None, "no wheel and no small cut: impossible"
+        if sep is None:
+            raise AssertionError("no wheel and no small cut: impossible")
         ctx.emit("no_w4", "cut", 0)
         return NotFourConnected(
             Witness("cut", tuple(sorted(sep.cut)), sep), trace, tracker.used
@@ -229,9 +235,10 @@ def extract(
             return _fallback(ctx, "iteration_cap", wheel)
         if tracker.exhausted:
             return GaveUp("budget:analysis", trace, tracker.used)
-        step = _analyze(ctx, wheel, 0)
+        step = resolve(ctx, _analyze(ctx, wheel, 0))
         if isinstance(step, StepFound):
-            assert verify_embedding(g, step.embedding) == []
+            if verify_embedding(g, step.embedding) != []:
+                return _fallback(ctx, "invalid_embedding", wheel)
             return Found(step.embedding, trace, tracker.used)
         if isinstance(step, StepCut):
             if verify_separator(g, step.separator) and len(step.separator.cut) <= 3:
@@ -279,7 +286,8 @@ def _fallback(ctx: Ctx, reason: str, wheel: WheelW4 | None):
     if isinstance(emb, BudgetExceeded):
         return GaveUp(f"budget:fallback({reason})", ctx.trace, ctx.tracker.used)
     if emb is not None:
-        assert verify_embedding(ctx.g, emb) == []
+        if verify_embedding(ctx.g, emb) != []:
+            raise AssertionError("the unrestricted search returned an invalid embedding")
         return Found(emb, ctx.trace, ctx.tracker.used)
     sep = find_separator(ctx.g, 4)
     if sep is None:

@@ -25,7 +25,7 @@ from pathlib import Path
 from k5minus import case_c, case_d, case_e
 from k5minus.audit import _C1, _D1
 from k5minus.bridges import bridge_containing_edge, compute_bridges
-from k5minus.extractor import _analyze_with_path, extract
+from k5minus.extractor import extract, resolve
 from k5minus.finder import BudgetTracker, SearchBudget
 from k5minus.generator import (
     circulant,
@@ -140,7 +140,7 @@ def extract_inputs() -> list[tuple[str, Graph]]:
 
 def _ctx(g: Graph) -> Ctx:
     tracker = BudgetTracker(SearchBudget().node_limit)
-    return Ctx(g, tracker, [], redispatch=_analyze_with_path)
+    return Ctx(g, tracker, [])
 
 
 def _step_payload(step) -> tuple[str, object]:
@@ -184,7 +184,7 @@ def _c_ii(cfg, g, u3: int):
     v3 = w.smr[2]
     u3b = _bridge(g, w, cfg.P, v3, u3)
     att = set(u3b.attachments) - {v3}
-    return lambda ctx: case_c._case_c_ii(ctx, w, cfg.P, cfg.p1, u3b, att, 0, True)
+    return lambda ctx: case_c.case_c_ii(ctx, w, cfg.P, cfg.p1, u3b, att, 0, True)
 
 
 def _d_run(cfg):
@@ -195,7 +195,7 @@ def _e_run(w: WheelW4, g: Graph, u1: int):
     u1b = bridge_containing_edge(
         compute_bridges(g, set(w.vertex_set()), set(w.edge_set())), w.smr[0], u1
     )
-    return lambda ctx: case_e.run(ctx, w, u1b, 0, True)
+    return lambda ctx: resolve(ctx, case_e.run(ctx, w, u1b, 0, True))
 
 
 def _long_d1():
