@@ -281,7 +281,7 @@ def extract(
 def _fallback(ctx: Ctx, reason: str, wheel: WheelW4 | None):
     """Soundness net: unrestricted search, then a separator."""
     total = wheel.total_spoke_length if wheel is not None else 0
-    ctx.emit("fallback", "search", total)
+    ctx.emit("fallback", "search:" + reason, total)
     emb = find_subdivision(ctx.g, K5_MINUS, tracker=ctx.tracker)
     if isinstance(emb, BudgetExceeded):
         return GaveUp(f"budget:fallback({reason})", ctx.trace, ctx.tracker.used)

@@ -111,6 +111,21 @@ def test_trace_schema_and_progress():
     assert all(a > b for a, b in zip(totals, totals[1:]))
 
 
+@pytest.mark.parametrize("seed, reason", [
+    (49, "e_1:to_rim:shorter_claim_failed"),
+    (1052, "c_ii_1:to_rim:shorter_claim_failed"),
+    (1249, "c_i:7a:k5m_claim_failed"),
+])
+def test_fallback_reason_kept_in_trace(seed, reason):
+    from golden_cases import sparse4_graph
+
+    res = extract(sparse4_graph(seed))
+    assert isinstance(res, Found)
+    fallbacks = [ev for ev in res.trace if ev["case_label"] == "fallback"]
+    assert [ev["action"] for ev in fallbacks] == ["search:" + reason]
+    assert used_fallback(res.trace)
+
+
 def test_budget_exhaustion_gives_up():
     g = generate_4connected(12, 0.5, seed=3)
     res = extract(g, SearchBudget(5))
