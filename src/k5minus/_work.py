@@ -5,6 +5,9 @@ is certified before it is returned (subdivision searches for K5-minus and
 shorter-wheel claims, component checks for cuts), so a handler can never
 smuggle out an unsound outcome — at worst it escalates to the driver's
 fallback.
+
+The two arguments that cases (c), (d) and (e) each run at their apex, the
+spoke pocket and the paired rims, are implemented once here.
 """
 
 from __future__ import annotations

@@ -36,6 +36,7 @@ from k5minus.generator import (
     torus,
 )
 from k5minus.graphs import Graph, write_graph6
+from k5minus.tables import C1_COLS, C1_ROWS, D1_COLS, D1_ROWS, c1_case, d1_case
 from k5minus.wheel import WheelW4
 from k5minus._work import (
     Ctx,
@@ -223,7 +224,6 @@ def handler_cases() -> list[tuple[str, Graph, object]]:
     c1, d1 = _C1(), _D1()
 
     # the audit's live calls: the (c)(i) and (d)(i) tables
-    from k5minus.tables import C1_COLS, C1_ROWS, D1_COLS, D1_ROWS, c1_case, d1_case
     for row in C1_ROWS:
         for col in C1_COLS:
             cid = c1_case(row, col)
