@@ -1,6 +1,6 @@
 """Golden inputs for the extraction engine and the recorder that replays them.
 
-Two files under tests/golden/ pin the engine's observable behaviour:
+Three files under tests/golden/ pin the engine's observable behaviour:
 
 * extract.jsonl: `extract` on the acceptance corpus and on the sparse4
   inputs whose trace reaches case (c), (d), (e) or an escalation.  Each line
@@ -10,8 +10,12 @@ Two files under tests/golden/ pin the engine's observable behaviour:
   audit-style scaffolds that drive handler branches no extraction reaches.
   Each line holds the host graph6, the step kind and payload, the nodes the
   handler spent and its trace.
+* flow.jsonl: the flow layer (`connectivity`) on seeded LCG graphs with n
+  from 5 to 22, C_9..C_14(1,2) and the tori 3x3..6x6.  Each line holds
+  kappa, `find_separator(g, 4)` and a seeded batch of `disjoint_paths`,
+  `min_vertex_cut` and `fan` calls with their exact results.
 
-`test_golden.py` replays both files.  To rewrite them from the current code:
+`test_golden.py` replays all three files.  To rewrite them from the current code:
 
     PYTHONPATH=src python tests/golden_cases.py
 """
@@ -20,14 +24,24 @@ from __future__ import annotations
 
 import json
 import sys
+import zlib
 from pathlib import Path
 
 from k5minus import case_c, case_d, case_e
 from k5minus.audit import _C1, _D1
 from k5minus.bridges import bridge_containing_edge, compute_bridges
+from k5minus.connectivity import (
+    PathSystem,
+    disjoint_paths,
+    fan,
+    find_separator,
+    min_vertex_cut,
+    vertex_connectivity,
+)
 from k5minus.extractor import extract, resolve
 from k5minus.finder import BudgetTracker, SearchBudget
 from k5minus.generator import (
+    Lcg,
     circulant,
     complete,
     complete_multipartite,
@@ -343,6 +357,77 @@ def handler_record(name: str, g: Graph, call) -> dict:
     }
 
 
+# -- flow-layer inputs ------------------------------------------------------------
+
+
+def flow_inputs() -> list[tuple[str, Graph]]:
+    out = []
+    for n in range(5, 23):
+        for j, p in enumerate((0.3, 0.5, 0.7)):
+            out.append((f"random:{n}:{p}", random_graph(n, p, 7_000_000 + 10 * n + j)))
+    for n in range(9, 15):
+        out.append((f"circulant{n}", circulant(n, (1, 2))))
+    for m in range(3, 7):
+        for n in range(m, 7):
+            out.append((f"torus{m}{n}", torus(m, n)))
+    return out
+
+
+def _sep_json(sep) -> dict | None:
+    if sep is None:
+        return None
+    return {"cut": sorted(sep.cut), "side_a": sorted(sep.side_a), "side_b": sorted(sep.side_b)}
+
+
+def flow_record(name: str, g: Graph) -> dict:
+    """kappa, the 4-separator and seeded path, cut and fan calls on g; the
+    calls are drawn from an LCG seeded by the graph6 string."""
+    rng = Lcg(zlib.crc32(write_graph6(g).encode()))
+    n = g.n
+
+    def pick(k: int) -> int:
+        return rng.next_u64() % k
+
+    def subset(pool, p: float) -> list[int]:
+        return [v for v in pool if rng.next_unit() < p]
+
+    calls = []
+    for _ in range(3):
+        u = pick(n)
+        v = (u + 1 + pick(n - 1)) % n
+        allowed = subset(range(n), 0.7)
+        for lim in (1, 2, None):
+            calls.append(["disjoint_paths", [u, v, lim, None],
+                          disjoint_paths(g, u, v, lim)])
+            calls.append(["disjoint_paths", [u, v, lim, allowed],
+                          disjoint_paths(g, u, v, lim, frozenset(allowed))])
+        if not g.has_edge(u, v):
+            calls.append(["min_vertex_cut", [u, v], sorted(min_vertex_cut(g, u, v))])
+    for k in range(1, 5):
+        if n < k + 1:
+            continue
+        for p_forbid in (0.0, 0.25):
+            u = pick(n)
+            others = [v for v in range(n) if v != u]
+            start = pick(len(others))
+            size = min(len(others), k + pick(4))
+            target = sorted(others[(start + i) % len(others)] for i in range(size))
+            forbidden = subset((v for v in others if v not in target), p_forbid)
+            res = fan(g, u, frozenset(target), k, frozenset(forbidden))
+            if isinstance(res, PathSystem):
+                answer = {"paths": res.paths, "apex": res.apex}
+            else:
+                answer = _sep_json(res)
+            calls.append(["fan", [u, target, k, forbidden], answer])
+    return json.loads(json.dumps({
+        "name": name,
+        "graph6": write_graph6(g),
+        "kappa": vertex_connectivity(g),
+        "separator4": _sep_json(find_separator(g, 4)),
+        "calls": calls,
+    }))
+
+
 # -- files -----------------------------------------------------------------------
 
 
@@ -360,6 +445,8 @@ def main() -> int:
                 [extract_record(name, g) for name, g in extract_inputs()])
     write_jsonl(GOLDEN / "handlers.jsonl",
                 [handler_record(name, g, call) for name, g, call in handler_cases()])
+    write_jsonl(GOLDEN / "flow.jsonl",
+                [flow_record(name, g) for name, g in flow_inputs()])
     return 0
 
 

@@ -42,3 +42,14 @@ def test_golden_handlers(handler_cases):
         if got != want:
             bad.append(_diff(got, want))
     assert not bad, bad[:10]
+
+
+def test_golden_flow():
+    records = gc.read_jsonl(gc.GOLDEN / "flow.jsonl")
+    assert [r["name"] for r in records] == [name for name, _ in gc.flow_inputs()]
+    bad = []
+    for want in records:
+        got = gc.flow_record(want["name"], parse_graph6(want["graph6"]))
+        if got != want:
+            bad.append(_diff(got, want))
+    assert not bad, bad[:10]
