@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .bridges import compute_bridges
-from .connectivity import Separator, disjoint_paths
+from .connectivity import Separator, disjoint_paths, separator_of
 from .finder import BudgetExceeded, BudgetTracker, find_subdivision
-from .graphs import Graph, components
+from .graphs import Graph
 from .patterns import K5_MINUS, Embedding, verify_embedding
 from .wheel import (
     ShorterWitness,
@@ -319,13 +319,11 @@ def try_cut(ctx: Ctx, vertices, label: str, total: int) -> Step | None:
     cut = frozenset(vertices)
     if len(cut) > 3:
         return None
-    comps = components(ctx.g, set(cut))
-    if len(comps) < 2:
+    sep = separator_of(ctx.g, cut)
+    if sep is None:
         return None
-    side_a = frozenset(comps[0])
-    side_b = frozenset(v for c in comps[1:] for v in c)
     ctx.emit(label, "cut", total)
-    return StepCut(Separator(cut, side_a, side_b), label)
+    return StepCut(sep, label)
 
 
 def cut_or_scan(ctx: Ctx, claimed, scan_sets, label: str, total: int) -> Step:

@@ -1,8 +1,24 @@
 """Vertex connectivity, minimum separators, disjoint path systems, and fans.
 
-Everything is exact and deterministic: paths come out of unit-vertex-capacity
-maximum flow with sorted-order augmentation, and minimum cuts are tie-broken
-to the lexicographically least vertex set where that is affordable.
+Everything is exact and deterministic.  One augmenting-path routine,
+`_flow_paths_cut`, runs Even's vertex-splitting construction on the graph
+itself; no network is built.  The flow is kept per vertex: into[v] lists the
+neighbours whose unit enters v, so len(into[v]) is the number of units
+through v (at most one, except at the sink of `disjoint_paths`).  Each
+augmentation is a breadth-first search over the states (v, in) and (v, out),
+which visits, in this order:
+
+* from (v, in): (v, out) if v is free, else (u, out) for the u whose unit
+  enters v;
+* from (v, out): (v, in) if v is busy, then (w, in) for every live neighbour
+  w other than the source, in vertex order.
+
+An edge into a sink carries at most one unit, so a source-sink edge is one
+direct path.  This visiting order is the tie-break that fixes which paths
+come out.  The minimum cut is read off the reach set of the last, failed
+search and the paths by walking successors from the source.  Minimum cuts of
+the whole graph are tie-broken to the lexicographically least vertex set
+where that is affordable.
 """
 
 from __future__ import annotations
@@ -71,63 +87,17 @@ def verify_path_system(g: Graph, ps: PathSystem) -> bool:
     return True
 
 
-# -- unit-capacity flow core -------------------------------------------------
+def separator_of(g: Graph, cut) -> Separator | None:
+    """Separator(cut, first component of G - cut, the rest), or None when
+    G - cut is connected."""
+    cut = frozenset(cut)
+    comps = components(g, set(cut))
+    if len(comps) < 2:
+        return None
+    return Separator(cut, frozenset(comps[0]), frozenset(v for c in comps[1:] for v in c))
 
 
-class _Net:
-    """Tiny Edmonds-Karp network with unit capacities."""
-
-    def __init__(self):
-        self.adj: dict[int, list[int]] = {}
-        self.cap: dict[tuple[int, int], int] = {}
-
-    def arc(self, a: int, b: int, c: int = 1) -> None:
-        if (a, b) not in self.cap:
-            self.adj.setdefault(a, []).append(b)
-            self.adj.setdefault(b, []).append(a)
-            self.cap[(a, b)] = 0
-            self.cap.setdefault((b, a), 0)
-        self.cap[(a, b)] += c
-
-    def augment(self, s: int, t: int) -> bool:
-        parent = {s: s}
-        queue = [s]
-        qi = 0
-        while qi < len(queue):
-            x = queue[qi]
-            qi += 1
-            if x == t:
-                break
-            for y in self.adj.get(x, ()):
-                if y not in parent and self.cap[(x, y)] > 0:
-                    parent[y] = x
-                    queue.append(y)
-        if t not in parent:
-            return False
-        y = t
-        while y != s:
-            x = parent[y]
-            self.cap[(x, y)] -= 1
-            self.cap[(y, x)] += 1
-            y = x
-        return True
-
-    def max_flow(self, s: int, t: int, limit: int) -> int:
-        flow = 0
-        while flow < limit and self.augment(s, t):
-            flow += 1
-        return flow
-
-    def residual_reachable(self, s: int) -> set[int]:
-        seen = {s}
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for y in self.adj.get(x, ()):
-                if y not in seen and self.cap[(x, y)] > 0:
-                    seen.add(y)
-                    stack.append(y)
-        return seen
+# -- unit-capacity flow on the graph itself ------------------------------------
 
 
 def _flow_paths_cut(
@@ -141,75 +111,72 @@ def _flow_paths_cut(
     """Max paths from source to sinks, pairwise disjoint except at source.
 
     Internal vertices are confined to allowed_internal.  Each sink absorbs at
-    most one path.  Returns the paths and, when fewer than `limit` exist, a
-    blocking vertex set (drawn from allowed_internal, plus sinks when
-    cuttable_sinks is set).
+    most one path when cuttable_sinks is set, any number otherwise.  Returns
+    the paths and, when fewer than `limit` exist, a blocking vertex set (drawn
+    from allowed_internal, plus sinks when cuttable_sinks is set).
     """
-    # node ids: v_in = 2v, v_out = 2v+1, SRC = 2n, SNK = 2n+1
-    n = g.n
-    src, snk = 2 * n, 2 * n + 1
-    inf = n + 2  # arcs that must never sit on a minimum cut
-    sink_cap = 1 if cuttable_sinks else inf  # fans: one path per target
-    net = _Net()
-    live = allowed_internal | sinks | {source}
-    for v in sorted(allowed_internal):
-        net.arc(2 * v, 2 * v + 1, 1)
-    for t in sorted(sinks):
-        net.arc(2 * t, 2 * t + 1, sink_cap)
-        net.arc(2 * t + 1, snk, sink_cap)
-    for u in range(n):
-        if u not in live:
-            continue
-        for w in g.neighbors(u):
-            if w not in live or w == source:
-                continue
-            if u == source:
-                # a source-sink edge is a one-shot direct path
-                net.arc(src, 2 * w, 1 if w in sinks else inf)
-            elif u in allowed_internal:
-                net.arc(2 * u + 1, 2 * w, inf)
-            # sink vertices emit nothing: paths stop there
-    flow = net.max_flow(src, snk, limit)
+    live = allowed_internal | sinks
+    into: list[list[int]] = [[] for _ in range(g.n)]
+    root = 2 * source + 1
+    flow = 0
+    while flow < limit:
+        # breadth-first search over the states 2v = (v, in), 2v+1 = (v, out)
+        parent = [-1] * (2 * g.n)
+        parent[root] = root
+        queue = [root]
+        end = -1
+        for x in queue:
+            v = x >> 1
+            if x & 1:
+                steps = [x - 1] if into[v] else []
+                steps += [2 * w for w in g.neighbors(v)
+                          if w in live and not (w in sinks and v in into[w])]
+            else:
+                steps = [2 * u + 1 for u in into[v]] or [x + 1]
+            for y in steps:
+                if parent[y] < 0:
+                    parent[y] = x
+                    queue.append(y)
+                    # the first sink with room ends the search
+                    if y >> 1 in sinks and not (cuttable_sinks and into[y >> 1]):
+                        end = y
+                        break
+            if end >= 0:
+                break
+        if end < 0:
+            break
+        # push a unit along the chain: a step (u, out) -> (w, in) sends u's
+        # unit into w, a step (w, in) -> (u, out) takes it back
+        flow += 1
+        y = end
+        while y != root:
+            x = parent[y]
+            if x >> 1 != y >> 1:
+                if x & 1:
+                    into[y >> 1].append(x >> 1)
+                else:
+                    into[x >> 1].remove(y >> 1)
+            y = x
 
     cut: frozenset[int] = frozenset()
     if flow < limit:
-        # snapshot the min cut before decomposition disturbs the residual
-        reach = net.residual_reachable(src)
-        cut_set = {
-            v for v in allowed_internal if 2 * v in reach and 2 * v + 1 not in reach
-        }
+        # the reach set of the failed search: a vertex whose in-state is
+        # reached but whose out-state is not sits on the minimum cut; a sink
+        # is cut when reached or when its source edge is used up
+        cut = frozenset(
+            v for v in allowed_internal if parent[2 * v] >= 0 and parent[2 * v + 1] < 0
+        )
         if cuttable_sinks:
-            for t in sinks:
-                # either the target's own split arc or a saturated direct
-                # source edge crosses the cut; both are blocked by t itself
-                if 2 * t in reach and 2 * t + 1 not in reach:
-                    cut_set.add(t)
-                elif g.has_edge(source, t) and 2 * t not in reach:
-                    cut_set.add(t)
-        cut = frozenset(cut_set)
+            cut |= {t for t in sinks if parent[2 * t] >= 0 or g.has_edge(source, t)}
 
+    succ = {u: v for v in range(g.n) for u in into[v]}
     paths = []
-    for w in sorted(g.neighbors(source)):
-        if w not in live:
-            continue
-        while net.cap.get((2 * w, src), 0) > 0 and len(paths) < flow:
-            # one unit entered at w; walk it forward, consuming residual marks
-            net.cap[(2 * w, src)] -= 1
+    for w in g.neighbors(source):
+        if source in into[w]:
             path = [source, w]
-            x = w
-            while x not in sinks:
-                nxt = None
-                for y in sorted(g.neighbors(x)):
-                    if y in live and net.cap.get((2 * y, 2 * x + 1), 0) > 0:
-                        nxt = y
-                        break
-                assert nxt is not None, "flow decomposition lost a unit"
-                net.cap[(2 * nxt, 2 * x + 1)] -= 1
-                path.append(nxt)
-                x = nxt
-            net.cap[(snk, 2 * x + 1)] -= 1
+            while path[-1] not in sinks:
+                path.append(succ[path[-1]])
             paths.append(tuple(path))
-
     return paths, cut
 
 
@@ -247,72 +214,63 @@ def max_disjoint_paths(g: Graph, u: int, v: int, limit: int | None = None) -> Pa
     return PathSystem(tuple(disjoint_paths(g, u, v, limit)))
 
 
-def vertex_connectivity(g: Graph) -> int:
-    """kappa(G); n-1 for complete graphs, 0 for empty or disconnected ones."""
+def _kappa_and_cut(g: Graph) -> tuple[int, frozenset[int]]:
+    """kappa(G) and the minimum cut of the first s,t pair that reaches it.
+
+    The pairs are s in {v0} + N(v0) for a least-degree v0 and every t not
+    adjacent to s.  The cut is empty for trivial, complete and disconnected
+    graphs.
+    """
     n = g.n
     if n <= 1:
-        return 0
+        return 0, frozenset()
     if g.is_complete():
-        return n - 1
+        return n - 1, frozenset()
     if len(components(g)) > 1:
-        return 0
+        return 0, frozenset()
     v0 = min(range(n), key=lambda v: (g.degree(v), v))
-    best = n - 1
+    best, best_cut = n - 1, frozenset()
     for s in (v0, *g.neighbors(v0)):
         for t in range(n):
             if t == s or g.has_edge(s, t):
                 continue
             allowed = frozenset(range(n)) - {s, t}
-            paths, _ = _flow_paths_cut(
+            paths, cut = _flow_paths_cut(
                 g, s, frozenset([t]), allowed, best, cuttable_sinks=False
             )
             if len(paths) < best:
-                best = len(paths)
-    return best
+                best, best_cut = len(paths), cut
+    return best, best_cut
+
+
+def vertex_connectivity(g: Graph) -> int:
+    """kappa(G); n-1 for complete graphs, 0 for empty or disconnected ones."""
+    return _kappa_and_cut(g)[0]
 
 
 def find_separator(g: Graph, k: int) -> Separator | None:
     """A minimum separator when kappa(G) < k and G is incomplete; else None.
 
     The returned cut is the lexicographically least minimum cut whenever the
-    brute-force scan is affordable (always true for the engine's k <= 4 use).
+    brute-force scan is affordable (always true for the engine's k <= 4 use);
+    otherwise it is the flow cut of the first s,t pair that reaches kappa.
     """
     if k < 1:
         raise ValueError("k must be positive")
     if g.n == 0 or g.is_complete():
         return None
-    kappa = vertex_connectivity(g)
+    kappa, flow_cut = _kappa_and_cut(g)
     if kappa >= k:
         return None
     if comb(g.n, kappa) <= 500_000:
-        for cut in combinations(range(g.n), kappa):
-            comps = components(g, set(cut))
-            if len(comps) >= 2:
-                side_a = frozenset(comps[0])
-                side_b = frozenset(v for c in comps[1:] for v in c)
-                return Separator(frozenset(cut), side_a, side_b)
-        raise AssertionError("connectivity said a cut exists")
-    # large kappa: fall back to a flow cut (minimum, but not lex-least)
-    v0 = min(range(g.n), key=lambda v: (g.degree(v), v))
-    best_cut = None
-    for s in (v0, *g.neighbors(v0)):
-        for t in range(g.n):
-            if t == s or g.has_edge(s, t):
-                continue
-            allowed = frozenset(range(g.n)) - {s, t}
-            paths, cut = _flow_paths_cut(
-                g, s, frozenset([t]), allowed, kappa + 1, cuttable_sinks=False
-            )
-            if len(paths) == kappa:
-                best_cut = cut
-                break
-        if best_cut is not None:
-            break
-    assert best_cut is not None
-    comps = components(g, set(best_cut))
-    side_a = frozenset(comps[0])
-    side_b = frozenset(v for c in comps[1:] for v in c)
-    return Separator(best_cut, side_a, side_b)
+        cuts = combinations(range(g.n), kappa)
+    else:
+        cuts = [flow_cut]
+    for cut in cuts:
+        sep = separator_of(g, cut)
+        if sep is not None:
+            return sep
+    raise AssertionError("connectivity said a cut exists")
 
 
 def fan(
@@ -338,12 +296,8 @@ def fan(
     paths, cut = _flow_paths_cut(g, u, target, allowed, k, cuttable_sinks=True)
     if len(paths) >= k:
         return PathSystem(tuple(paths[:k]), apex=u)
-    removed = set(forbidden) | set(cut)
-    comp_u = None
-    for comp in components(g, removed):
-        if u in comp:
-            comp_u = frozenset(comp)
-            break
-    assert comp_u is not None
-    side_b = frozenset(v for v in range(g.n) if v not in removed and v not in comp_u)
-    return Separator(frozenset(cut), comp_u, side_b)
+    removed = forbidden | cut
+    side_a = next((frozenset(c) for c in components(g, removed) if u in c), None)
+    if side_a is None:
+        raise AssertionError("the blocking cut contains the apex")
+    return Separator(cut, side_a, frozenset(range(g.n)) - removed - side_a)

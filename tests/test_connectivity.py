@@ -1,4 +1,5 @@
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -193,3 +194,58 @@ def test_kappa4_iff_no_separator_below_4():
         lhs = vertex_connectivity(g) >= 4
         rhs = find_separator(g, 4) is None and g.n >= 5
         assert lhs == rhs, g
+
+
+def prism(m):
+    """C_m x K_2: two m-cycles joined by a perfect matching, kappa = 3."""
+    ring = [(i, (i + 1) % m) for i in range(m)]
+    return Graph(2 * m, ring + [(m + a, m + b) for a, b in ring] + [(i, m + i) for i in range(m)])
+
+
+def test_kappa_least_degree_vertex_in_every_min_cut():
+    # two K6 joined through v0 = 12, the only vertex of degree 4: every
+    # minimum cut is {12}, so the scan must also start from v0's neighbours
+    k6 = [(a, b) for a in range(6) for b in range(a + 1, 6)]
+    g = Graph(13, k6 + [(a + 6, b + 6) for a, b in k6] + [(12, 0), (12, 1), (12, 6), (12, 7)])
+    assert vertex_connectivity(g) == 1
+    assert find_separator(g, 4).cut == frozenset({12})
+
+
+def test_separator_flow_cut_branch():
+    # comb(150, 3) is past the brute-force bound, so the cut comes from flow
+    g = prism(75)
+    assert comb(g.n, 3) > 500_000
+    sep = find_separator(g, 4)
+    assert sep is not None and verify_separator(g, sep)
+    assert sep.cut == frozenset({1, 74, 75})  # the first pair's cut: N(0)
+
+
+def _differential_graphs():
+    densities = (0.2, 0.35, 0.5, 0.7, 0.85)
+    for s in range(300):
+        yield random_graph(5 + s % 14, densities[s % 5], 9_000_000 + s)
+
+
+def test_kappa_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    for g in _differential_graphs():
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges())
+        assert vertex_connectivity(g) == nx.node_connectivity(h), g.edges()
+
+
+def test_separator_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    for g in _differential_graphs():
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges())
+        kappa = nx.node_connectivity(h)
+        for k in range(1, 6):
+            sep = find_separator(g, k)
+            if kappa >= k or g.is_complete():
+                assert sep is None, (g.edges(), k)
+            else:
+                assert sep is not None and len(sep.cut) == kappa, (g.edges(), k)
+                assert verify_separator(g, sep), (g.edges(), k)
