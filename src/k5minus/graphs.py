@@ -32,7 +32,7 @@ class MalformedEncoding(GraphError):
 class Graph:
     """Simple undirected graph on vertices 0..n-1 with sorted adjacency."""
 
-    __slots__ = ("n", "m", "_adj", "_adj_sets", "_masks")
+    __slots__ = ("n", "m", "_adj", "_adj_bits")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -49,11 +49,10 @@ class Graph:
         self._adj: tuple[tuple[int, ...], ...] = tuple(
             tuple(sorted(s)) for s in adj
         )
-        self._adj_sets: tuple[frozenset[int], ...] = tuple(
-            frozenset(s) for s in adj
-        )
+        # bit v of _adj_bits[u] is set iff u-v is an edge: a few bytes per
+        # vertex, where a frozenset costs hundreds
+        self._adj_bits: tuple[int, ...] = tuple(sum(map((1).__lshift__, s)) for s in adj)
         self.m = sum(len(s) for s in adj) // 2
-        self._masks: tuple[int, ...] | None = None
 
     # -- queries ---------------------------------------------------------
 
@@ -68,23 +67,11 @@ class Graph:
         return len(self._adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj_sets[u]
+        return self._adj_bits[u] >> v & 1 == 1
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, lexicographically sorted."""
         return [(u, v) for u in range(self.n) for v in self._adj[u] if u < v]
-
-    def adjacency_masks(self) -> tuple[int, ...]:
-        """Per-vertex neighbor bitmasks (bit v set iff v adjacent)."""
-        if self._masks is None:
-            masks = []
-            for u in range(self.n):
-                m = 0
-                for v in self._adj[u]:
-                    m |= 1 << v
-                masks.append(m)
-            self._masks = tuple(masks)
-        return self._masks
 
     def min_degree(self) -> int:
         return min((len(a) for a in self._adj), default=0)

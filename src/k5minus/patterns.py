@@ -72,9 +72,6 @@ class Embedding:
     branch_map: tuple[int, ...]
     paths: tuple[tuple[int, ...], ...]
 
-    def branch_vertices(self) -> frozenset[int]:
-        return frozenset(self.branch_map)
-
     def vertices(self) -> frozenset[int]:
         out = set(self.branch_map)
         for p in self.paths:
