@@ -4,7 +4,7 @@ Graph inputs are graph6 (one graph per line) or plain edge-list text; the
 format is picked by file extension (.g6 / .edges) unless --format overrides.
 Analysis commands emit one JSON object per input graph on stdout.  Exit
 codes: 0 success, 1 negative result (not found / not 4-connected / audit
-failure), 2 usage error.
+failure / invalid certificate), 2 usage error or malformed certificate file.
 """
 
 from __future__ import annotations
@@ -77,8 +77,14 @@ def _cmd_extract(args) -> int:
 def _cmd_verify(args) -> int:
     graphs = _read_graphs(args.infile, args.format)
     with open(args.cert, "r", encoding="ascii") as fh:
-        cert = json.load(fh)
-    emb = Embedding.from_json(cert.get("certificate", cert))
+        try:
+            cert = json.load(fh)
+            if not isinstance(cert, dict):
+                raise ValueError("not a JSON object")
+            emb = Embedding.from_json(cert.get("certificate", cert))
+        except (KeyError, TypeError, ValueError) as exc:
+            print(f"error: malformed certificate {args.cert}: {exc}", file=sys.stderr)
+            return 2
     worst = 0
     for g in graphs:
         violations = verify_embedding(g, emb)
@@ -212,7 +218,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (GraphError, FileNotFoundError, KeyError, json.JSONDecodeError) as exc:
+    except (GraphError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -125,7 +125,8 @@ class WheelW4:
 
     @staticmethod
     def from_embedding(emb: Embedding) -> "WheelW4":
-        assert emb.pattern is W4 or emb.pattern == W4
+        if emb.pattern != W4:
+            raise ValueError(f"not a W4 embedding: pattern {emb.pattern.name!r}")
         bm = emb.branch_map
         spokes = emb.paths[0:4]
         rim = (
@@ -214,7 +215,8 @@ def improve_once(
             )
             wheel = WheelW4(h.hub, spokes, smr, rim).canonical()
             bad = wheel.verify(g)
-            assert not bad, f"improvement produced an invalid wheel: {bad}"
+            if bad:
+                raise AssertionError(f"improvement produced an invalid wheel: {bad}")
             return ShorterWitness(wheel, tuple(t))
     return None
 
@@ -237,6 +239,7 @@ def make_short(
             return cur, steps, False
         if isinstance(res, BudgetExceeded):
             return cur, steps, True
-        assert res.wheel.total_spoke_length < cur.total_spoke_length
+        if res.wheel.total_spoke_length >= cur.total_spoke_length:
+            raise AssertionError("improvement did not shorten the wheel")
         steps.append(res)
         cur = res.wheel

@@ -78,6 +78,21 @@ def test_verify_rejects_bad_certificate(capsys, tmp_path, k5_file, c5_file):
     assert lines[0]["violations"]
 
 
+def test_verify_malformed_certificate_exit_2(capsys, tmp_path, k5_file):
+    code, lines = run(capsys, ["extract", "--in", k5_file])
+    cert = lines[0]["certificate"]
+    bad_map = tmp_path / "bad_map.json"
+    bad_map.write_text(json.dumps(dict(cert, branch_map=["x"] + cert["branch_map"][1:])))
+    as_list = tmp_path / "list.json"
+    as_list.write_text(json.dumps([cert]))
+    for path in (bad_map, as_list):
+        assert main(["verify", "--in", k5_file, "--cert", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: malformed certificate")
+
+
 def test_streaming_multiple_lines(capsys, tmp_path):
     path = tmp_path / "corpus.g6"
     lines_in = [write_graph6(random_graph(7, 0.6, s)) for s in range(4)]

@@ -2,7 +2,9 @@
 
 A search that hands back a certificate failing verification may only cost
 the claim it was meant to certify; the extractor still returns a verified
-answer, also under `python -O`, which strips `assert` statements.
+answer, also under `python -O`, which strips `assert` statements.  A
+shortening step whose rim fails verification raises instead of handing back
+an invalid wheel.
 """
 
 import os
@@ -10,7 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from k5minus import _work, extractor
+from k5minus import _work, extractor, wheel
 from k5minus._work import StepFound
 from k5minus.extractor import Found, extract
 from k5minus.generator import circulant
@@ -30,6 +32,25 @@ def tampering(find, calls):
         return emb
 
     return tampered
+
+
+def tampered_wheel_step_raises() -> bool:
+    """improve_once on C_9(1,2) with a rim search whose result is damaged."""
+    g = circulant(9, (1, 2))
+    w = wheel.find_w4(g)
+    find = wheel.find_subdivision
+    wheel.find_subdivision = tampering(find, [])
+    try:
+        wheel.improve_once(g, w)
+    except AssertionError as exc:
+        return "invalid wheel" in str(exc)
+    finally:
+        wheel.find_subdivision = find
+    return False
+
+
+def test_tampered_wheel_step_raises():
+    assert tampered_wheel_step_raises()
 
 
 def test_tampered_claim_search_gives_verified_answer(monkeypatch):
@@ -67,7 +88,8 @@ def test_tampered_claim_search_under_optimize():
         "g = circulant(9, (1, 2))\n"
         "res = extract(g)\n"
         "ok = sys.flags.optimize and calls and isinstance(res, Found) \\\n"
-        "    and verify_embedding(g, res.embedding) == []\n"
+        "    and verify_embedding(g, res.embedding) == [] \\\n"
+        "    and t.tampered_wheel_step_raises()\n"
         "print('verified' if ok else 'unverified')\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
