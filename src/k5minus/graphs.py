@@ -38,6 +38,9 @@ class Graph:
         if n < 0:
             raise OutOfRange(f"negative vertex count {n}")
         adj: list[set[int]] = [set() for _ in range(n)]
+        # bit v of bits[u] is set iff u-v is an edge: n/8 bytes per vertex,
+        # where a frozenset of neighbours costs hundreds at this engine's sizes
+        bits = [0] * n
         for u, v in edges:
             if not (0 <= u < n) or not (0 <= v < n):
                 raise OutOfRange(f"edge ({u}, {v}) outside 0..{n - 1}")
@@ -45,13 +48,13 @@ class Graph:
                 raise SelfLoop(f"self-loop at {u}")
             adj[u].add(v)
             adj[v].add(u)
+            bits[u] |= 1 << v
+            bits[v] |= 1 << u
         self.n = n
         self._adj: tuple[tuple[int, ...], ...] = tuple(
             tuple(sorted(s)) for s in adj
         )
-        # bit v of _adj_bits[u] is set iff u-v is an edge: a few bytes per
-        # vertex, where a frozenset costs hundreds
-        self._adj_bits: tuple[int, ...] = tuple(sum(map((1).__lshift__, s)) for s in adj)
+        self._adj_bits: tuple[int, ...] = tuple(bits)
         self.m = sum(len(s) for s in adj) // 2
 
     # -- queries ---------------------------------------------------------
