@@ -4,7 +4,7 @@ Everything is exact and deterministic.  One augmenting-path routine,
 `_flow_paths_cut`, runs Even's vertex-splitting construction on the graph
 itself; no network is built.  The flow is kept per vertex: into[v] lists the
 neighbours whose unit enters v, so len(into[v]) is the number of units
-through v (at most one, except at the sink of `disjoint_paths`).  Each
+through v (at most one, except at the single sink of an s-t flow).  Each
 augmentation is a breadth-first search over the states (v, in) and (v, out),
 which visits, in this order:
 
