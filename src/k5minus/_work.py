@@ -43,13 +43,7 @@ class StepFound:
 
 @dataclass
 class StepImprove:
-    witness: ShorterWitness  # strictly shorter, spokes prefix the main wheel's
-
-
-@dataclass
-class StepReplace:
-    wheel: WheelW4  # produced by a spoke replacement; driver guards progress
-    note: str
+    witness: ShorterWitness  # a new wheel; the driver checks its total is shorter
 
 
 @dataclass
@@ -71,13 +65,12 @@ class StepFallback:
 @dataclass
 class StepHandoff:
     """A replacement wheel plus a path from its v1 landing at p1, for the
-    dispatcher to classify (case (e) re-enters the whole case analysis)."""
+    landing dispatcher to classify (case (e) re-enters the case analysis)."""
 
     wheel: WheelW4
     path: tuple
     p1: int
     depth: int
-    spokes_main: bool
 
 
 Step = object
@@ -100,10 +93,6 @@ class Ctx:
             }
         )
         self._step += 1
-
-    @property
-    def exhausted(self) -> bool:
-        return self.tracker.exhausted
 
 
 # -- path and set helpers ----------------------------------------------------
@@ -184,35 +173,6 @@ def safe_join(*parts) -> tuple[int, ...] | None:
     return out if is_simple(out) else None
 
 
-def stitch_path(edges, src: int, dst: int) -> tuple[int, ...] | None:
-    """Shortest src->dst path inside the small graph given by `edges`."""
-    adj: dict[int, list[int]] = {}
-    for a, b in edges:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    for k in adj:
-        adj[k].sort()
-    if src not in adj or dst not in adj:
-        return None
-    parent = {src: -1}
-    queue = [src]
-    qi = 0
-    while qi < len(queue) and dst not in parent:
-        x = queue[qi]
-        qi += 1
-        for y in adj[x]:
-            if y not in parent:
-                parent[y] = x
-                queue.append(y)
-    if dst not in parent:
-        return None
-    path = [dst]
-    while parent[path[-1]] != -1:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return tuple(path)
-
-
 def minimal_pair(
     g: Graph, apex: int, candidates, allowed_base
 ) -> tuple[tuple, tuple, int] | None:
@@ -253,45 +213,34 @@ def certify_shorter(
     return wit if wit.wheel.verify(ctx.g) == [] else None
 
 
-class TableClaimFalsified(Exception):
-    """A table or figure claim failed to certify on its composite."""
-
-    def __init__(self, claim: str, detail: str):
-        super().__init__(f"{claim}: {detail}")
-        self.claim = claim
-        self.detail = detail
-
-
-def claim_k5minus(ctx: Ctx, comp_edges, h_local, label: str, spokes_main: bool) -> Step:
+def claim_k5minus(ctx: Ctx, comp_edges, h_local, label: str) -> Step:
     res = certify_k5minus(ctx, comp_edges)
     if isinstance(res, BudgetExceeded):
         return StepBudget()
     if res is not None:
         ctx.emit(label, "found", h_local.total_spoke_length)
         return StepFound(res)
-    return _escalate(ctx, comp_edges, h_local, label + ":k5m_claim_failed", spokes_main,
+    return _escalate(ctx, comp_edges, h_local, label + ":k5m_claim_failed",
                      skip_k5m=True)
 
 
-def claim_shorter(ctx: Ctx, comp_edges, h_local, label: str, spokes_main: bool) -> Step:
+def claim_shorter(ctx: Ctx, comp_edges, h_local, label: str) -> Step:
     res = certify_shorter(ctx, comp_edges, h_local)
     if isinstance(res, BudgetExceeded):
         return StepBudget()
     if res is not None:
-        return _improve_step(ctx, res, label, spokes_main)
+        return _improve_step(ctx, res, label)
     return _escalate(ctx, comp_edges, h_local, label + ":shorter_claim_failed",
-                     spokes_main, skip_shorter=True)
+                     skip_shorter=True)
 
 
-def _improve_step(ctx: Ctx, wit: ShorterWitness, label: str, spokes_main: bool) -> Step:
-    if spokes_main:
-        ctx.emit(label, "improve", wit.wheel.total_spoke_length)
-        return StepImprove(wit)
-    return StepReplace(wit.wheel, label)
+def _improve_step(ctx: Ctx, wit: ShorterWitness, label: str) -> Step:
+    ctx.emit(label, "improve", wit.wheel.total_spoke_length)
+    return StepImprove(wit)
 
 
 def _escalate(
-    ctx: Ctx, comp_edges, h_local, reason: str, spokes_main: bool,
+    ctx: Ctx, comp_edges, h_local, reason: str,
     skip_k5m: bool = False, skip_shorter: bool = False,
 ) -> Step:
     """A claim failed: try the other claim on the full composite, then punt."""
@@ -307,7 +256,7 @@ def _escalate(
         if isinstance(wit, BudgetExceeded):
             return StepBudget()
         if wit is not None:
-            return _improve_step(ctx, wit, "escalate", spokes_main)
+            return _improve_step(ctx, wit, "escalate")
     return StepFallback(reason)
 
 
@@ -341,7 +290,7 @@ def cut_or_scan(ctx: Ctx, claimed, scan_sets, label: str, total: int) -> Step:
 # -- the two immediate cases -------------------------------------------------
 
 
-def assemble_case_b(ctx: Ctx, h: WheelW4, p_path, spokes_main: bool) -> Step:
+def assemble_case_b(ctx: Ctx, h: WheelW4, p_path) -> Step:
     """p1 = v3: K5-minus with trivertices v2, v4 and tetravertices v, v1, v3.
 
     p_path runs v1 -> v3 and meets the wheel only at its endpoints.
@@ -364,10 +313,10 @@ def assemble_case_b(ctx: Ctx, h: WheelW4, p_path, spokes_main: bool) -> Step:
         ctx.emit("b", "found", h.total_spoke_length)
         return StepFound(emb)
     comp = set(h.edge_set()) | eset(p_path)
-    return claim_k5minus(ctx, comp, h, "b", spokes_main)
+    return claim_k5minus(ctx, comp, h, "b")
 
 
-def assemble_case_a(ctx: Ctx, h: WheelW4, p_path, spokes_main: bool) -> Step:
+def assemble_case_a(ctx: Ctx, h: WheelW4, p_path) -> Step:
     """p1 internal on spoke P2 (after mirroring): wheel shortened at p1.
 
     p_path runs v1 -> p1 and meets the wheel only at its endpoints.  The new
@@ -396,9 +345,9 @@ def assemble_case_a(ctx: Ctx, h: WheelW4, p_path, spokes_main: bool) -> Step:
             len(h.spokes[3]) - 1,
         )
         wit = ShorterWitness(wheel, prefixes)
-        return _improve_step(ctx, wit, "a", spokes_main)
+        return _improve_step(ctx, wit, "a")
     comp = set(h.edge_set()) | eset(p_path)
-    return claim_shorter(ctx, comp, h, "a", spokes_main)
+    return claim_shorter(ctx, comp, h, "a")
 
 
 # -- the near side of an apex: cases (c)(ii), (d)(ii) and (e) ------------------
@@ -438,14 +387,14 @@ class Corner:
         return min(attachments, key=self.spoke.index) if attachments else default
 
 
-def settle(ctx: Ctx, claims, r2, comp, wheel, label: str, spokes_main: bool) -> Step | None:
+def settle(ctx: Ctx, claims, r2, comp, wheel, label: str) -> Step | None:
     """Certify what an escape landing at r2 gives: claims = (the landings that
     give K5-minus, the landings that give a shorter wheel)."""
     k5m, shorter = claims
     if r2 in k5m:
-        return claim_k5minus(ctx, comp, wheel, label + ":k5m", spokes_main)
+        return claim_k5minus(ctx, comp, wheel, label + ":k5m")
     if r2 in shorter:
-        return claim_shorter(ctx, comp, wheel, label + ":short", spokes_main)
+        return claim_shorter(ctx, comp, wheel, label + ":short")
     return None
 
 
@@ -465,7 +414,7 @@ class Pocket(NamedTuple):
 
 
 def spoke_pocket(ctx: Ctx, corner: Corner, pocket: Pocket, claims, reroute, reenter,
-                 depth: int, spokes_main: bool) -> Step:
+                 depth: int) -> Step:
     """The spoke-pocket argument: (c)(ii)1, (d)(ii)1 and (e)1.
 
     An escape R from the pocket to the far side lands where `claims` settle
@@ -482,29 +431,30 @@ def spoke_pocket(ctx: Ctx, corner: Corner, pocket: Pocket, claims, reroute, reen
         r1, r2 = r_path[0], r_path[-1]
         walls = pocket.escape_walls()
         comp = corner.comp | eset(r_path, *walls)
-        step = settle(ctx, claims, r2, comp, h, label, spokes_main)
+        step = settle(ctx, claims, r2, comp, h, label)
         if step is not None:
             return step
         if r2 not in reroute:
-            return _escalate(ctx, comp, h, label + ":odd_landing", spokes_main)
+            return _escalate(ctx, comp, h, label + ":odd_landing")
         feeder = next((w for w in walls if r1 in interior(w)), subpath(corner.spoke, a, pocket.x))
         q_new = safe_join(subpath(feeder, a, r1), r_path)
         route = None if q_new is None else pocket.route(r1, q_new)
-        new_spoke = None if route is None else stitch_path(
-            eset(subpath(corner.spoke, h.hub, pocket.x), route), h.hub, a
+        new_spoke = None if route is None else search_path(
+            Graph(g.n, eset(subpath(corner.spoke, h.hub, pocket.x), route)),
+            {h.hub}, {a}, range(g.n),
         )
         if new_spoke is None:
-            return _escalate(ctx, comp, h, label + ":stitch_failed", spokes_main)
+            return _escalate(ctx, comp, h, label + ":stitch_failed")
         spokes = list(h.spokes)
         spokes[corner.i] = new_spoke
         h_new = WheelW4(h.hub, tuple(spokes), h.smr, h.rim)
         if h_new.verify(g) != []:
-            return _escalate(ctx, comp, h, label + ":bad_wheel", spokes_main)
+            return _escalate(ctx, comp, h, label + ":bad_wheel")
         wit = improve_once(g, h_new, tracker=ctx.tracker)
         if isinstance(wit, BudgetExceeded):
             return StepBudget()
         if wit is not None:
-            return StepReplace(wit.wheel, label + ":improved_replacement")
+            return _improve_step(ctx, wit, label + ":improved_replacement")
         if depth >= MAX_DEPTH:
             return StepFallback(label + ":depth")
         ctx.emit(label, "spoke_detour", h_new.total_spoke_length)
@@ -513,13 +463,13 @@ def spoke_pocket(ctx: Ctx, corner: Corner, pocket: Pocket, claims, reroute, reen
     touch = search_path(g, pocket.touch, corner.near_rims - {a}, pocket.touch_via)
     if touch is not None:
         comp = corner.comp | eset(touch, *pocket.walls)
-        return claim_shorter(ctx, comp, h, label + ":to_rim", spokes_main)
+        return claim_shorter(ctx, comp, h, label + ":to_rim")
     return cut_or_scan(ctx, {a, pocket.cut_at()}, [{a, w} for w in corner.seg if w != a],
                        label + ":cut", h.total_spoke_length)
 
 
 def paired_rims(ctx: Ctx, corner: Corner, orders, spoke_from, land,
-                depth: int, spokes_main: bool) -> Step:
+                depth: int) -> Step:
     """The paired-rim argument: (c)(ii)2, (d)(ii)2 and (e)2.
 
     On each near rim part in turn, take the first candidate x of its order
@@ -556,20 +506,20 @@ def paired_rims(ctx: Ctx, corner: Corner, orders, spoke_from, land,
         else:
             new_seg = safe_join(subpath(seg, seg[0], x), tuple(reversed(replacement)))
         if new_seg is None:
-            return _escalate(ctx, comp, h, label + ":rim_stitch_failed", spokes_main)
+            return _escalate(ctx, comp, h, label + ":rim_stitch_failed")
         rim = list(h.rim)
         rim[idx] = new_seg
         h_new = WheelW4(h.hub, h.spokes, h.smr, tuple(rim))
         if h_new.verify(g) != []:
-            return _escalate(ctx, comp, h, label + ":bad_rim", spokes_main)
+            return _escalate(ctx, comp, h, label + ":bad_rim")
         q_new = safe_join(subpath(feeder, a, r1), r_path)
         if q_new is None:
-            return _escalate(ctx, comp, h, label + ":q_stitch_failed", spokes_main)
+            return _escalate(ctx, comp, h, label + ":q_stitch_failed")
         return land(h_new, q_new, r2, comp, depth)
 
     path3 = search_path(g, spoke_from, corner.near_rims - {a}, corner.free)
     if path3 is not None:
-        return claim_shorter(ctx, corner.comp | eset(path3), h, label + ":to_rim", spokes_main)
+        return claim_shorter(ctx, corner.comp | eset(path3), h, label + ":to_rim")
     near_a, near_b = (part for _, part in corner.rims)
     return cut_or_scan(ctx, {a, *ends}, [{a, b, c} for b in near_a for c in near_b],
                        label + ":cut", h.total_spoke_length)

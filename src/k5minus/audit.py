@@ -35,7 +35,6 @@ from ._work import (
     StepCut,
     StepFound,
     StepImprove,
-    StepReplace,
     assemble_case_a,
     assemble_case_b,
     certify_k5minus,
@@ -86,8 +85,6 @@ def _step_kind(step) -> str:
         return "improve"
     if isinstance(step, StepCut):
         return "cut"
-    if isinstance(step, StepReplace):
-        return "replace"
     return "fallback"
 
 
@@ -96,7 +93,7 @@ _EXPECT_KIND = {
     SHORTER_W4: {"improve"},
     RESIDUAL: {"cut", "found", "improve"},
     "CUT": {"cut"},
-    "ANY": {"found", "improve", "cut", "replace"},
+    "ANY": {"found", "improve", "cut"},
 }
 
 
@@ -231,7 +228,7 @@ def _audit_c1(report: AuditReport, budget):
             g = cfg.graph(extra)
             ctx = _fresh_ctx(g, budget)
             step = case_c.case_c_i(
-                ctx, cfg.wheel(), cfg.P, cfg.p1, cfg.Q, cfg.q3, 0, True
+                ctx, cfg.wheel(), cfg.P, cfg.p1, cfg.Q, cfg.q3, 0
             )
             _record(report, f"C1:{cid}:{row}->{col}", "table_c1", expected,
                     _step_kind(step))
@@ -247,7 +244,7 @@ def _audit_d1(report: AuditReport, budget):
             g = cfg.graph([(min(r1, r2), max(r1, r2))])
             ctx = _fresh_ctx(g, budget)
             step = case_d.case_d_i(
-                ctx, cfg.wheel(), cfg.P, cfg.p1, cfg.Q, cfg.q3, 0, True
+                ctx, cfg.wheel(), cfg.P, cfg.p1, cfg.Q, cfg.q3, 0
             )
             _record(report, f"D1:{cid}:{row}->{col}", "table_d1", expected,
                     _step_kind(step))
@@ -343,7 +340,7 @@ def _audit_c_ii(report: AuditReport, budget):
     ctx = _fresh_ctx(g, budget)
     bridges = compute_bridges(g, set(w.vertex_set()) | set(cfg.P), hp)
     u3b = bridge_containing_edge(bridges, 6, 21)
-    step = case_c.case_c_ii(ctx, w, cfg.P, cfg.p1, u3b, {5}, 0, True)
+    step = case_c.case_c_ii(ctx, w, cfg.P, cfg.p1, u3b, {5}, 0)
     _record(report, "fig_cii1_cut", "figure", "CUT", _step_kind(step))
 
     # (c)(ii)2: rim pair with an escape re-enters (c)(i); without one it cuts
@@ -357,7 +354,7 @@ def _audit_c_ii(report: AuditReport, budget):
         bridges = compute_bridges(g, set(w.vertex_set()) | set(cfg.P), hp)
         u3b = bridge_containing_edge(bridges, 6, 21)
         step = case_c.case_c_ii(
-            ctx, w, cfg.P, cfg.p1, u3b, set(u3b.attachments) - {6}, 0, True
+            ctx, w, cfg.P, cfg.p1, u3b, set(u3b.attachments) - {6}, 0
         )
         _record(report, f"fig_cii2_{name}", "figure", expected, _step_kind(step))
 
@@ -411,14 +408,14 @@ def _audit_d_figures(report: AuditReport, budget):
     pocket = {(6, 15), (15, 5)}
     g = Graph(16, hp | pocket)
     ctx = _fresh_ctx(g, budget)
-    step = case_d.run(ctx, w, cfg.P, cfg.p1, 0, True)
+    step = case_d.run(ctx, w, cfg.P, cfg.p1, 0)
     _record(report, "fig_dii1_cut", "figure", "CUT", _step_kind(step))
 
     # (d)(ii)2 cut {v3, x, y}: rim pockets on R2 and R3
     pockets = {(6, 15), (15, 10), (6, 16), (16, 11)}
     g = Graph(17, hp | pockets)
     ctx = _fresh_ctx(g, budget)
-    step = case_d.run(ctx, w, cfg.P, cfg.p1, 0, True)
+    step = case_d.run(ctx, w, cfg.P, cfg.p1, 0)
     _record(report, "fig_dii2_cut", "figure", "CUT", _step_kind(step))
 
 
@@ -438,7 +435,7 @@ def _audit_e_figures(report: AuditReport, budget):
         ctx = _fresh_ctx(g, budget)
         bridges = compute_bridges(g, set(w.vertex_set()), he)
         u1b = bridge_containing_edge(bridges, 2, 17)
-        return resolve(ctx, case_e.run(ctx, w, u1b, 0, True))
+        return resolve(ctx, case_e.run(ctx, w, u1b, 0))
 
     # (e)1 pocket on P1 with an escape from the clipped part: re-dispatch
     step = run_e({(2, 17), (17, 1), (15, 6)}, 18)
@@ -465,12 +462,12 @@ def _audit_ab(report: AuditReport, budget):
 
     g = Graph(14, he | {(2, 13), (13, 3)})
     ctx = _fresh_ctx(g, budget)
-    step = assemble_case_a(ctx, w, (2, 13, 3), True)
+    step = assemble_case_a(ctx, w, (2, 13, 3))
     _record(report, "case_a", "figure", SHORTER_W4, _step_kind(step))
 
     g = Graph(14, he | {(2, 13), (13, 6)})
     ctx = _fresh_ctx(g, budget)
-    step = assemble_case_b(ctx, w, (2, 13, 6), True)
+    step = assemble_case_b(ctx, w, (2, 13, 6))
     _record(report, "case_b", "figure", K5MINUS, _step_kind(step))
 
 

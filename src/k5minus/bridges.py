@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, GraphError
+from .graphs import Graph, GraphError, components
 
 
 class InvalidSubgraph(GraphError):
@@ -58,20 +58,7 @@ def compute_bridges(g: Graph, h_vertices, h_edges) -> list[Bridge]:
                 Bridge("inner", frozenset(), frozenset((u, v)), frozenset([(u, v)]))
             )
 
-    seen: set[int] = set()
-    for start in range(g.n):
-        if start in hv or start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in g.neighbors(x):
-                if y not in hv and y not in seen:
-                    seen.add(y)
-                    comp.append(y)
-                    stack.append(y)
+    for comp in components(g, hv):
         core = frozenset(comp)
         feet = set()
         for x in comp:
@@ -94,6 +81,17 @@ def bridge_containing_edge(bridges: list[Bridge], u: int, v: int) -> Bridge:
         if b.kind == "outer" and (u in b.core or v in b.core):
             return b
     raise NoSuchPath(f"edge ({u}, {v}) lies in no bridge")
+
+
+def bridges_from(bridges: list[Bridge], v: int) -> dict[int, Bridge]:
+    """For each vertex that some bridge attached at v also attaches to, the
+    first such bridge in list order."""
+    out: dict[int, Bridge] = {}
+    for b in bridges:
+        if v in b.attachments:
+            for t in b.attachments:
+                out.setdefault(t, b)
+    return out
 
 
 def bridge_path(g: Graph, b: Bridge, src: int, dst: int) -> tuple[int, ...]:

@@ -7,7 +7,7 @@ chosen landing as close to v3 along R2 as possible.
 
 from __future__ import annotations
 
-from .bridges import bridge_containing_edge, bridge_path, compute_bridges
+from .bridges import bridge_containing_edge, bridge_path, bridges_from, compute_bridges
 from .tables import K5MINUS, SHORTER_W4, c1_case, c1_outcome, outcome_rank
 from .wheel import WheelW4, improve_once, subpath  # improve_once: only for perfbench/tracing.py
 from ._work import (
@@ -34,15 +34,7 @@ from ._work import (
 )
 
 
-def run(
-    ctx: Ctx,
-    h: WheelW4,
-    P,
-    p1,
-    depth: int,
-    spokes_main: bool,
-    preferred_u3: int | None = None,
-):
+def run(ctx: Ctx, h: WheelW4, P, p1, depth: int, preferred_u3: int | None = None):
     g = ctx.g
     v = h.hub
     v1, v2, v3, v4 = h.smr
@@ -67,18 +59,18 @@ def run(
 
     if v1 in att:
         w_path = bridge_path(g, U3, v3, v1)
-        return assemble_case_b(ctx, h, tuple(reversed(w_path)), spokes_main)
+        return assemble_case_b(ctx, h, tuple(reversed(w_path)))
 
     k5_zone = (set(R1) - {v1}) | (set(v2R2p1) - {p1}) | set(interior(P)) | set(interior(P1))
     hits = sorted(att & k5_zone)
     if hits:
         q_path = bridge_path(g, U3, v3, hits[0])
-        return claim_k5minus(ctx, hp_e | eset(q_path), h, "c:fig1", spokes_main)
+        return claim_k5minus(ctx, hp_e | eset(q_path), h, "c:fig1")
 
     hits = sorted(att & (set(interior(P2)) | set(interior(P4))))
     if hits:
         q_path = bridge_path(g, U3, v3, hits[0])
-        return claim_shorter(ctx, hp_e | eset(q_path), h, "c:spoke_attach", spokes_main)
+        return claim_shorter(ctx, hp_e | eset(q_path), h, "c:spoke_attach")
 
     confined = set(interior(R4)) | set(p1R2v3) | set(R3) | set(P3)
     if not att <= confined:
@@ -86,26 +78,18 @@ def run(
 
     # (i): is there any H u P-avoiding path from v3 to the interior of R4?
     # Choose the landing closest to v1 along R4.
-    by_vertex = {}
-    for bridge in bridges_hp:
-        if v3 in bridge.attachments:
-            for t in sorted(bridge.attachments):
-                by_vertex.setdefault(t, bridge)
-    q3 = None
-    for idx in range(len(R4) - 2, 0, -1):  # R4 runs v4 -> v1
-        if R4[idx] in by_vertex:
-            q3 = R4[idx]
-            break
+    reach = bridges_from(bridges_hp, v3)
+    q3 = next((x for x in R4[-2:0:-1] if x in reach), None)  # R4 runs v4 -> v1
     if q3 is not None:
-        q_path = bridge_path(g, by_vertex[q3], v3, q3)
-        return case_c_i(ctx, h, P, p1, q_path, q3, depth, spokes_main)
-    return case_c_ii(ctx, h, P, p1, U3, att, depth, spokes_main)
+        q_path = bridge_path(g, reach[q3], v3, q3)
+        return case_c_i(ctx, h, P, p1, q_path, q3, depth)
+    return case_c_ii(ctx, h, P, p1, U3, att, depth)
 
 
 # -- (i): U3 reaches the interior of R4 --------------------------------------
 
 
-def case_c_i(ctx: Ctx, h: WheelW4, P, p1, Q, q3, depth: int, spokes_main: bool):
+def case_c_i(ctx: Ctx, h: WheelW4, P, p1, Q, q3, depth: int):
     g = ctx.g
     if depth > MAX_DEPTH:
         return StepFallback("c_i:depth")
@@ -183,13 +167,13 @@ def case_c_i(ctx: Ctx, h: WheelW4, P, p1, Q, q3, depth: int, spokes_main: bool):
     r_path = bridge_path(g, bridge, r1, r2)
     comp_plus = comp_e | eset(r_path)
     if out == K5MINUS:
-        return claim_k5minus(ctx, comp_plus, h, f"c_i:{cid}", spokes_main)
+        return claim_k5minus(ctx, comp_plus, h, f"c_i:{cid}")
     if out == SHORTER_W4:
-        return claim_shorter(ctx, comp_plus, h, f"c_i:{cid}", spokes_main)
-    return _c_residual(ctx, h, P, p1, Q, q3, cands, depth, spokes_main)
+        return claim_shorter(ctx, comp_plus, h, f"c_i:{cid}")
+    return _c_residual(ctx, h, P, p1, Q, q3, cands, depth)
 
 
-def _c_residual(ctx: Ctx, h, P, p1, Q, q3, cands, depth, spokes_main):
+def _c_residual(ctx: Ctx, h, P, p1, Q, q3, cands, depth):
     """Rows 2b/6b/7b/7c/7d/10b/13/22b: the secondary-path arguments."""
     g = ctx.g
     total = h.total_spoke_length
@@ -202,24 +186,22 @@ def _c_residual(ctx: Ctx, h, P, p1, Q, q3, cands, depth, spokes_main):
         f1.sort(key=lambda c: (pos[c[1]], c[1], c[2]))
         _, r1, r2, cid, out, col, bridge = f1[0]
         r_path = bridge_path(g, bridge, r1, r2)
-        return _c_residual_canonical(
-            ctx, h, P, p1, Q, q3, r1, col, r_path, depth, spokes_main
-        )
+        return _c_residual_canonical(ctx, h, P, p1, Q, q3, r1, col, r_path, depth)
     if f2:
         # symmetric side: rotate the wheel half way and swap P and Q
         if depth >= MAX_DEPTH:
             return StepFallback("c_res:mirror_depth")
         ctx.emit("c_i", "mirror", total)
         h2 = h.reorder(2, False)
-        return case_c_i(ctx, h2, Q, q3, P, p1, depth + 1, spokes_main)
+        return case_c_i(ctx, h2, Q, q3, P, p1, depth + 1)
     # only case 13 (P1 to P3) remains
     thirteen.sort(key=lambda c: (c[1], c[2]))
     _, r1, r2, cid, out, col, bridge = thirteen[0]
     r13 = bridge_path(g, bridge, r1, r2)
-    return _c_case13(ctx, h, P, p1, Q, q3, r13, depth, spokes_main)
+    return _c_case13(ctx, h, P, p1, Q, q3, r13, depth)
 
 
-def _c_case13(ctx: Ctx, h, P, p1, Q, q3, r13, depth, spokes_main):
+def _c_case13(ctx: Ctx, h, P, p1, Q, q3, r13, depth):
     g = ctx.g
     total = h.total_spoke_length
     v = h.hub
@@ -244,15 +226,15 @@ def _c_case13(ctx: Ctx, h, P, p1, Q, q3, r13, depth, spokes_main):
     comp_plus = comp_e | eset(r13) | eset(rp)
     if set(rp[1:-1]) & (set(P1) | set(P3)):
         # the secondary path clips a spoke: one of the eight subpath classes
-        return claim_shorter(ctx, comp_plus, h, "c_i:13_subpath", spokes_main)
+        return claim_shorter(ctx, comp_plus, h, "c_i:13_subpath")
     # rp qualifies as a fresh R avoiding P1 and P3; rescan will classify it
     # into one of the non-13 cells
     if depth >= MAX_DEPTH:
         return StepFallback("c_i:13_depth")
-    return case_c_i(ctx, h, P, p1, Q, q3, depth + 1, spokes_main)
+    return case_c_i(ctx, h, P, p1, Q, q3, depth + 1)
 
 
-def _c_residual_canonical(ctx: Ctx, h, P, p1, Q, q3, r1, col, r_path, depth, spokes_main):
+def _c_residual_canonical(ctx: Ctx, h, P, p1, Q, q3, r1, col, r_path, depth):
     """All cross paths land on p1R2v3; drive the r1-minimal argument."""
     g = ctx.g
     everything = frozenset(range(g.n))
@@ -296,10 +278,10 @@ def _c_residual_canonical(ctx: Ctx, h, P, p1, Q, q3, r1, col, r_path, depth, spo
         s, t = rp[0], rp[-1]
         comp_plus = comp_e | eset(r_path) | eset(rp)
         if t in interior(P2):
-            return claim_shorter(ctx, comp_plus, h, "c_i:res_p2", spokes_main)
+            return claim_shorter(ctx, comp_plus, h, "c_i:res_p2")
         if t in (set(R1) - {v1}) | (set(v2R2p1) - {v2, p1}) or t == v2:
             if col != "q3R4v1":
-                return claim_k5minus(ctx, comp_plus, h, "c_i:res_eight", spokes_main)
+                return claim_k5minus(ctx, comp_plus, h, "c_i:res_eight")
             # the r2 argument: R lands on q3R4v1
             r2 = r_path[-1] if r_path[-1] in set(q3R4v1) else r_path[0]
             r2R4v1 = subpath(R4, r2, v1)
@@ -314,9 +296,7 @@ def _c_residual_canonical(ctx: Ctx, h, P, p1, Q, q3, r1, col, r_path, depth, spo
                     "c_i:res_r2_cut",
                     total,
                 )
-            return claim_k5minus(
-                ctx, comp_plus | eset(rpp), h, "c_i:res_four", spokes_main
-            )
+            return claim_k5minus(ctx, comp_plus | eset(rpp), h, "c_i:res_four")
         between = set(subpath(R2, p1, r1)) - {r1}
         if t in between and not crossing:
             # reroute the rim through rp and continue closer to v3
@@ -334,16 +314,16 @@ def _c_residual_canonical(ctx: Ctx, h, P, p1, Q, q3, r1, col, r_path, depth, spo
                     r_path = new_r
                     r1 = s
                     continue
-            return _escalate(ctx, comp_plus, h, "c_i:res_reroute_failed", spokes_main)
+            return _escalate(ctx, comp_plus, h, "c_i:res_reroute_failed")
         # t == p1, t on P, or a crossing reroute: the choice arguments say these
         # cannot happen; certify whatever the composite holds, then punt
-        return _escalate(ctx, comp_plus, h, "c_i:res_unexpected_landing", spokes_main)
+        return _escalate(ctx, comp_plus, h, "c_i:res_unexpected_landing")
 
 
 # -- (ii): U3 confined to p1R2v3, R3, P3 -------------------------------------
 
 
-def case_c_ii(ctx: Ctx, h, P, p1, U3, att, depth, spokes_main):
+def case_c_ii(ctx: Ctx, h, P, p1, U3, att, depth):
     """The spoke pocket at v3 when U3 meets P3, else the paired rims at v3."""
     g = ctx.g
     v = h.hub
@@ -380,19 +360,19 @@ def case_c_ii(ctx: Ctx, h, P, p1, U3, att, depth, spokes_main):
         )
         return spoke_pocket(
             ctx, corner, pocket, claims, interior(R4),
-            lambda h_new, q_new, r2, d: case_c_i(ctx, h_new, P, p1, q_new, r2, d, False),
-            depth, spokes_main,
+            lambda h_new, q_new, r2, d: case_c_i(ctx, h_new, P, p1, q_new, r2, d),
+            depth,
         )
 
     def land(h_new, q_new, r2, comp, d):
-        step = settle(ctx, claims, r2, comp, h_new, "c_ii_2", spokes_main)
+        step = settle(ctx, claims, r2, comp, h_new, "c_ii_2")
         if step is None and r2 in interior(R4) and d < MAX_DEPTH:
             ctx.emit("c_ii_2", "rim_replace", h_new.total_spoke_length)
-            step = case_c_i(ctx, h_new, P, p1, q_new, r2, d + 1, spokes_main)
+            step = case_c_i(ctx, h_new, P, p1, q_new, r2, d + 1)
         if step is None:
-            step = _escalate(ctx, comp, h_new, "c_ii_2:odd_landing", spokes_main)
+            step = _escalate(ctx, comp, h_new, "c_ii_2:odd_landing")
         return step
 
     return paired_rims(
-        ctx, corner, (p1R2v3[:-1], R3[:0:-1]), interior(P3), land, depth, spokes_main
+        ctx, corner, (p1R2v3[:-1], R3[:0:-1]), interior(P3), land, depth
     )

@@ -31,7 +31,7 @@ from ._work import (
 )
 
 
-def _to_case_c(ctx, h, q_path, t, old_p, depth, spokes_main):
+def _to_case_c(ctx, h, q_path, t, old_p, depth):
     """Rotate the wheel so a v3-path landing on R1/R4 becomes a case-(c) shape."""
     if depth >= MAX_DEPTH:
         return StepFallback("d:relabel_depth")
@@ -39,12 +39,10 @@ def _to_case_c(ctx, h, q_path, t, old_p, depth, spokes_main):
     if t in interior(h.rim[0]):  # landing on R1 maps to the new R3: reflect
         h2 = h2.reorder(0, True)
     ctx.emit("d", "relabel_to_c", h.total_spoke_length)
-    return case_c.run(
-        ctx, h2, q_path, t, depth + 1, spokes_main, preferred_u3=old_p[1]
-    )
+    return case_c.run(ctx, h2, q_path, t, depth + 1, preferred_u3=old_p[1])
 
 
-def run(ctx: Ctx, h: WheelW4, P, p1, depth: int, spokes_main: bool):
+def run(ctx: Ctx, h: WheelW4, P, p1, depth: int):
     g = ctx.g
     v = h.hub
     v1, v2, v3, v4 = h.smr
@@ -71,17 +69,17 @@ def run(ctx: Ctx, h: WheelW4, P, p1, depth: int, spokes_main: bool):
     hits = sorted(att & k5_zone)
     if hits:
         q_path = bridge_path(g, U3, v3, hits[0])
-        return claim_k5minus(ctx, hp_e | eset(q_path), h, "d:front", spokes_main)
+        return claim_k5minus(ctx, hp_e | eset(q_path), h, "d:front")
 
     hits = sorted(att & (set(interior(R1)) | set(interior(R4))))
     if hits:
         q_path = bridge_path(g, U3, v3, hits[0])
-        return _to_case_c(ctx, h, q_path, hits[0], P, depth, spokes_main)
+        return _to_case_c(ctx, h, q_path, hits[0], P, depth)
 
     hits = sorted(att & (set(interior(P2)) | set(interior(P4))))
     if hits:
         q_path = bridge_path(g, U3, v3, hits[0])
-        return claim_shorter(ctx, hp_e | eset(q_path), h, "d:spoke_attach", spokes_main)
+        return claim_shorter(ctx, hp_e | eset(q_path), h, "d:spoke_attach")
 
     confined = set(interior(P1)) | set(R2) | set(R3) | set(p1P3v3)
     if not att <= confined:
@@ -91,7 +89,7 @@ def run(ctx: Ctx, h: WheelW4, P, p1, depth: int, spokes_main: bool):
     if att_p1:
         q3 = att_p1[0]  # closest to the hub along P1
         q_path = bridge_path(g, U3, v3, q3)
-        return case_d_i(ctx, h, P, p1, q_path, q3, depth, spokes_main)
+        return case_d_i(ctx, h, P, p1, q_path, q3, depth)
 
     # (ii): U3 confined to R2, R3, p1P3v3: the spoke pocket at v3 when U3
     # meets p1P3v3, else the paired rims at v3
@@ -117,31 +115,30 @@ def run(ctx: Ctx, h: WheelW4, P, p1, depth: int, spokes_main: bool):
         claims = (k5_zone, interior(P2) | interior(P4) | interior(R1) | interior(R4))
         return spoke_pocket(
             ctx, corner, pocket, claims, interior(P1),
-            lambda h_new, q_new, r2, d: case_d_i(ctx, h_new, P, p1, q_new, r2, d, False),
-            depth, spokes_main,
+            lambda h_new, q_new, r2, d: case_d_i(ctx, h_new, P, p1, q_new, r2, d),
+            depth,
         )
 
     def land(h_new, q_new, r2, comp, d):
-        step = settle(ctx, (k5_zone, interior(P2) | interior(P4)), r2, comp, h_new, "d_ii_2",
-                      spokes_main)
+        step = settle(ctx, (k5_zone, interior(P2) | interior(P4)), r2, comp, h_new, "d_ii_2")
         if step is not None:
             return step
         if r2 in interior(R1) | interior(R4):
-            return _to_case_c(ctx, h_new, q_new, r2, P, d, spokes_main)
+            return _to_case_c(ctx, h_new, q_new, r2, P, d)
         if r2 in interior(P1) and d < MAX_DEPTH:
             ctx.emit("d_ii_2", "rim_replace", h_new.total_spoke_length)
-            return case_d_i(ctx, h_new, P, p1, q_new, r2, d + 1, spokes_main)
-        return _escalate(ctx, comp, h_new, "d_ii_2:odd_landing", spokes_main)
+            return case_d_i(ctx, h_new, P, p1, q_new, r2, d + 1)
+        return _escalate(ctx, comp, h_new, "d_ii_2:odd_landing")
 
     return paired_rims(
-        ctx, corner, (R2[1:-1], R3[-2:0:-1]), set(p1P3v3) - {v3}, land, depth, spokes_main
+        ctx, corner, (R2[1:-1], R3[-2:0:-1]), set(p1P3v3) - {v3}, land, depth
     )
 
 
 # -- (i): U3 reaches the interior of P1 --------------------------------------
 
 
-def case_d_i(ctx: Ctx, h: WheelW4, P, p1, Q, q3, depth: int, spokes_main: bool):
+def case_d_i(ctx: Ctx, h: WheelW4, P, p1, Q, q3, depth: int):
     g = ctx.g
     if depth > MAX_DEPTH:
         return StepFallback("d_i:depth")
@@ -208,23 +205,21 @@ def case_d_i(ctx: Ctx, h: WheelW4, P, p1, Q, q3, depth: int, spokes_main: bool):
         r_path = bridge_path(g, bridge, r1, r2)
         comp_plus = comp_e | eset(r_path)
         if out == K5MINUS:
-            return claim_k5minus(ctx, comp_plus, h, f"d_i:{cid}", spokes_main)
+            return claim_k5minus(ctx, comp_plus, h, f"d_i:{cid}")
         if out == SHORTER_W4:
-            return claim_shorter(ctx, comp_plus, h, f"d_i:{cid}", spokes_main)
-        return _d_residual(ctx, h, P, p1, Q, q3, cands, depth, spokes_main)
+            return claim_shorter(ctx, comp_plus, h, f"d_i:{cid}")
+        return _d_residual(ctx, h, P, p1, Q, q3, cands, depth)
 
     # no clean cross path: one that touches P, Q, P1, or P3 beats shortness
     loose = (everything - comp_v) | set(interior(P)) | set(interior(Q)) \
         | set(interior(P1)) | set(interior(P3))
     r_path = search_path(g, side_a, side_b, loose)
     if r_path is not None:
-        return claim_shorter(
-            ctx, comp_e | eset(r_path), h, "d_i:nine_classes", spokes_main
-        )
+        return claim_shorter(ctx, comp_e | eset(r_path), h, "d_i:nine_classes")
     return cut_or_scan(ctx, {v1, v, v3}, [], "d_i:no_cross_path", total)
 
 
-def _d_residual(ctx: Ctx, h, P, p1, Q, q3, cands, depth, spokes_main):
+def _d_residual(ctx: Ctx, h, P, p1, Q, q3, cands, depth):
     """Cases 2 (R1 to R4) and 4 (R2 to R3): v2 gets separated."""
     g = ctx.g
     total = h.total_spoke_length

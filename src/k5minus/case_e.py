@@ -24,7 +24,7 @@ from ._work import (
 )
 
 
-def run(ctx: Ctx, h: WheelW4, U1: Bridge, depth: int, spokes_main: bool):
+def run(ctx: Ctx, h: WheelW4, U1: Bridge, depth: int):
     g = ctx.g
     v1 = h.smr[0]
     P1 = h.spokes[0]
@@ -57,16 +57,16 @@ def run(ctx: Ctx, h: WheelW4, U1: Bridge, depth: int, spokes_main: bool):
         )
         return spoke_pocket(
             ctx, corner, pocket, ((), ()), corner.far,
-            lambda h_new, p_new, r2, d: StepHandoff(h_new, p_new, r2, d, False),
-            depth, spokes_main,
+            lambda h_new, p_new, r2, d: StepHandoff(h_new, p_new, r2, d),
+            depth,
         )
 
     def land(h_new, p_new, r2, comp, d):
         if d >= MAX_DEPTH:
             return StepFallback("e_2:depth")
         ctx.emit("e_2", "rim_replace", h_new.total_spoke_length)
-        return StepHandoff(h_new, p_new, r2, d + 1, spokes_main)
+        return StepHandoff(h_new, p_new, r2, d + 1)
 
     return paired_rims(
-        ctx, corner, (R1[-2:0:-1], R4[1:-1]), set(P1) - {v1}, land, depth, spokes_main
+        ctx, corner, (R1[-2:0:-1], R4[1:-1]), set(P1) - {v1}, land, depth
     )

@@ -12,9 +12,10 @@ in the trace so the guided-path fidelity is measurable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 from . import case_c, case_d, case_e
-from .bridges import bridge_containing_edge, compute_bridges, bridge_path
+from .bridges import bridge_containing_edge, bridge_path, bridges_from, compute_bridges
 from .connectivity import Separator, find_separator, verify_separator
 from .finder import (
     BudgetExceeded,
@@ -33,7 +34,6 @@ from ._work import (
     StepFound,
     StepHandoff,
     StepImprove,
-    StepReplace,
     assemble_case_a,
     assemble_case_b,
     fourth_neighbors,
@@ -109,86 +109,54 @@ def classify_p1(h: WheelW4, p1: int) -> str:
 def resolve(ctx: Ctx, step):
     """Follow case (e)'s hand-offs through the dispatcher to a final step."""
     while isinstance(step, StepHandoff):
-        step = _analyze_with_path(
-            ctx, step.wheel, step.path, step.p1, step.depth, step.spokes_main
-        )
+        step = _analyze_with_path(ctx, step.wheel, step.path, step.p1, step.depth)
     return step
 
 
-def _analyze_with_path(ctx: Ctx, h: WheelW4, P, p1, depth: int, spokes_main: bool):
-    """Re-entry used by case hand-offs: classify the given landing and go."""
+def _analyze_with_path(ctx: Ctx, h: WheelW4, P, p1, depth: int):
+    """The landing dispatcher: classify where the path P from v1 lands and
+    run that case, mirrored so that the landing is on P2 (a) or R2 (c)."""
     label = classify_p1(h, p1)
     if label == "B":
-        return assemble_case_b(ctx, h, P, spokes_main)
+        return assemble_case_b(ctx, h, P)
     if label == "A":
         if p1 in interior(h.spokes[3]):
             h = h.reorder(0, True)
-        return assemble_case_a(ctx, h, P, spokes_main)
+        return assemble_case_a(ctx, h, P)
     if label == "C":
         if p1 in interior(h.rim[2]):
             h = h.reorder(0, True)
-        return case_c.run(ctx, h, P, p1, depth, spokes_main)
+        return case_c.run(ctx, h, P, p1, depth)
     if label == "D":
-        return case_d.run(ctx, h, P, p1, depth, spokes_main)
+        return case_d.run(ctx, h, P, p1, depth)
     bridges = compute_bridges(ctx.g, set(h.vertex_set()), set(h.edge_set()))
     u1_bridge = bridge_containing_edge(bridges, P[0], P[1])
-    return case_e.run(ctx, h, u1_bridge, depth, spokes_main)
+    return case_e.run(ctx, h, u1_bridge, depth)
 
 
 def _analyze(ctx: Ctx, h: WheelW4, depth: int):
-    """Pick the landing case for the wheel's v1, preferring b > a > c > d > e."""
+    """Pick the landing of a path from the wheel's v1, preferring b > a > c > d > e:
+    v3, then P2 before P4, then the rim vertex nearest v3 (R2 before R3 on
+    ties), then the P3 vertex nearest v3."""
     g = ctx.g
-    v1 = h.smr[0]
-    v3 = h.smr[2]
-    hv, he = set(h.vertex_set()), set(h.edge_set())
-    bridges = compute_bridges(g, hv, he)
-    reach: dict[int, object] = {}
-    for bridge in bridges:
-        if v1 in bridge.attachments:
-            for t in sorted(bridge.attachments):
-                if t != v1:
-                    reach.setdefault(t, bridge)
-
-    if v3 in reach:
-        w = bridge_path(g, reach[v3], v1, v3)
-        return assemble_case_b(ctx, h, w, True)
-
-    for spoke_idx, flip in ((1, False), (3, True)):
-        hits = sorted(set(interior(h.spokes[spoke_idx])) & reach.keys())
-        if hits:
-            p1 = hits[0]
-            P = bridge_path(g, reach[p1], v1, p1)
-            return assemble_case_a(ctx, h.reorder(0, True) if flip else h, P, True)
-
-    best = None  # (distance to v3 along the segment, side, landing vertex)
-    R2, R3 = h.rim[1], h.rim[2]
-    for idx in range(1, len(R2) - 1):
-        if R2[idx] in reach:
-            cand = (len(R2) - 1 - idx, 0, R2[idx])
-            best = cand if best is None or cand < best else best
-    for idx in range(1, len(R3) - 1):
-        if R3[idx] in reach:
-            cand = (idx, 1, R3[idx])
-            best = cand if best is None or cand < best else best
-    if best is not None:
-        _, side, p1 = best
-        P = bridge_path(g, reach[p1], v1, p1)
-        h2 = h.reorder(0, True) if side == 1 else h
-        return case_c.run(ctx, h2, P, p1, depth, True)
-
-    P3 = h.spokes[2]
-    for idx in range(len(P3) - 2, 0, -1):  # closest to v3 first
-        if P3[idx] in reach:
-            p1 = P3[idx]
-            P = bridge_path(g, reach[p1], v1, p1)
-            return case_d.run(ctx, h, P, p1, depth, True)
+    v1, v3 = h.smr[0], h.smr[2]
+    he = set(h.edge_set())
+    bridges = compute_bridges(g, set(h.vertex_set()), he)
+    reach = bridges_from(bridges, v1)
+    near_v3 = [x for pair in zip_longest(h.rim[1][-2:0:-1], h.rim[2][1:-1])
+               for x in pair if x is not None]
+    landings = (v3, *sorted(interior(h.spokes[1])), *sorted(interior(h.spokes[3])),
+                *near_v3, *h.spokes[2][-2:0:-1])
+    p1 = next((x for x in landings if x in reach), None)
+    if p1 is not None:
+        return _analyze_with_path(ctx, h, bridge_path(g, reach[p1], v1, p1), p1, depth)
 
     # everything from v1 stays inside R1, R4, P1
     fourth = fourth_neighbors(g, he, v1)
     if not fourth:
         return StepFallback("analyze:no_fourth_neighbor")
     u1_bridge = bridge_containing_edge(bridges, v1, fourth[0])
-    return case_e.run(ctx, h, u1_bridge, depth, True)
+    return case_e.run(ctx, h, u1_bridge, depth)
 
 
 def extract(
@@ -254,17 +222,6 @@ def extract(
             new = step.witness.wheel
             if not new.total_spoke_length < wheel.total_spoke_length:
                 return _fallback(ctx, "improve_guard", wheel)
-            wheel, steps, exhausted = make_short(g, new, tracker)
-            for s in steps:
-                ctx.emit("driver", "improve", s.wheel.total_spoke_length)
-            if exhausted:
-                return GaveUp("budget:make_short", trace, tracker.used)
-            continue
-        if isinstance(step, StepReplace):
-            new = step.wheel
-            if not new.total_spoke_length < wheel.total_spoke_length:
-                return _fallback(ctx, "replace_guard:" + step.note, wheel)
-            ctx.emit("driver", "spoke_replace", new.total_spoke_length)
             wheel, steps, exhausted = make_short(g, new, tracker)
             for s in steps:
                 ctx.emit("driver", "improve", s.wheel.total_spoke_length)

@@ -59,7 +59,6 @@ from k5minus._work import (
     StepFallback,
     StepFound,
     StepImprove,
-    StepReplace,
     assemble_case_a,
     assemble_case_b,
 )
@@ -164,8 +163,6 @@ def _step_payload(step) -> tuple[str, object]:
     if isinstance(step, StepImprove):
         return "improve", {"wheel": step.witness.wheel.to_json(),
                            "prefixes": list(step.witness.prefixes)}
-    if isinstance(step, StepReplace):
-        return "replace", {"wheel": step.wheel.to_json(), "note": step.note}
     if isinstance(step, StepCut):
         sep = step.separator
         return "cut", {"label": step.label, "cut": sorted(sep.cut),
@@ -186,11 +183,11 @@ def _bridge(g: Graph, w: WheelW4, P, a: int, b: int):
 
 
 def _c_i(cfg):
-    return lambda ctx: case_c.case_c_i(ctx, cfg.wheel(), cfg.P, cfg.p1, cfg.Q, cfg.q3, 0, True)
+    return lambda ctx: case_c.case_c_i(ctx, cfg.wheel(), cfg.P, cfg.p1, cfg.Q, cfg.q3, 0)
 
 
 def _d_i(cfg):
-    return lambda ctx: case_d.case_d_i(ctx, cfg.wheel(), cfg.P, cfg.p1, cfg.Q, cfg.q3, 0, True)
+    return lambda ctx: case_d.case_d_i(ctx, cfg.wheel(), cfg.P, cfg.p1, cfg.Q, cfg.q3, 0)
 
 
 def _c_ii(cfg, g, u3: int):
@@ -199,18 +196,18 @@ def _c_ii(cfg, g, u3: int):
     v3 = w.smr[2]
     u3b = _bridge(g, w, cfg.P, v3, u3)
     att = set(u3b.attachments) - {v3}
-    return lambda ctx: case_c.case_c_ii(ctx, w, cfg.P, cfg.p1, u3b, att, 0, True)
+    return lambda ctx: case_c.case_c_ii(ctx, w, cfg.P, cfg.p1, u3b, att, 0)
 
 
 def _d_run(cfg):
-    return lambda ctx: case_d.run(ctx, cfg.wheel(), cfg.P, cfg.p1, 0, True)
+    return lambda ctx: case_d.run(ctx, cfg.wheel(), cfg.P, cfg.p1, 0)
 
 
 def _e_run(w: WheelW4, g: Graph, u1: int):
     u1b = bridge_containing_edge(
         compute_bridges(g, set(w.vertex_set()), set(w.edge_set())), w.smr[0], u1
     )
-    return lambda ctx: resolve(ctx, case_e.run(ctx, w, u1b, 0, True))
+    return lambda ctx: resolve(ctx, case_e.run(ctx, w, u1b, 0))
 
 
 def _long_d1():
@@ -285,9 +282,9 @@ def handler_cases() -> list[tuple[str, Graph, object]]:
     rim = ((2, 9, 4), (4, 10, 6), (6, 11, 8), (8, 12, 2))
     wab = WheelW4(0, spokes, (2, 4, 6, 8), rim)
     g = Graph(14, set(wab.edge_set()) | {(2, 13), (13, 3)})
-    cases.append(("audit:case_a", g, lambda ctx: assemble_case_a(ctx, wab, (2, 13, 3), True)))
+    cases.append(("audit:case_a", g, lambda ctx: assemble_case_a(ctx, wab, (2, 13, 3))))
     g = Graph(14, set(wab.edge_set()) | {(2, 13), (13, 6)})
-    cases.append(("audit:case_b", g, lambda ctx: assemble_case_b(ctx, wab, (2, 13, 6), True)))
+    cases.append(("audit:case_b", g, lambda ctx: assemble_case_b(ctx, wab, (2, 13, 6))))
 
     cases.extend(scaffold_cases())
     return cases

@@ -190,7 +190,7 @@ def test_criterion_7_progress_and_fallback_rate(corpus_results):
         totals = [
             ev["total_spoke_length"]
             for ev in res.trace
-            if ev["action"] in ("improve", "spoke_replace")
+            if ev["action"] == "improve"
         ]
         assert all(a > b for a, b in zip(totals, totals[1:])), name
         rim_totals = [

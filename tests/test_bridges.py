@@ -5,6 +5,7 @@ from k5minus.bridges import (
     NoSuchPath,
     bridge_containing_edge,
     bridge_path,
+    bridges_from,
     compute_bridges,
 )
 from k5minus.graphs import Graph
@@ -101,6 +102,15 @@ def test_bridge_containing_edge():
     bs = compute_bridges(g, {1, 2, 3, 4}, [(1, 2), (2, 3), (3, 4), (1, 4)])
     assert bridge_containing_edge(bs, 0, 2) is bs[0]
     assert bridge_containing_edge(bs, 2, 0) is bs[0]
+
+
+def test_bridges_from_keeps_first_bridge():
+    g = Graph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 1),
+                  (2, 6), (6, 7), (7, 3), (6, 3), (0, 2)])
+    bs = compute_bridges(g, {0, 1, 2, 3}, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    inner, pocket = bs[0], bs[1]
+    assert inner.kind == "inner" and pocket.core == {4, 5}
+    assert bridges_from(bs, 0) == {0: inner, 2: inner, 1: pocket}
 
 
 def test_invalid_subgraph_rejected():

@@ -106,7 +106,7 @@ def test_trace_schema_and_progress():
     totals = [
         ev["total_spoke_length"]
         for ev in res.trace
-        if ev["action"] in ("improve", "spoke_replace")
+        if ev["action"] == "improve"
     ]
     assert all(a > b for a, b in zip(totals, totals[1:]))
 

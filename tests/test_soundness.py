@@ -13,10 +13,11 @@ import sys
 from pathlib import Path
 
 from k5minus import _work, extractor, wheel
-from k5minus._work import StepFound
+from k5minus._work import StepFound, StepImprove
 from k5minus.extractor import Found, extract
 from k5minus.generator import circulant
 from k5minus.patterns import Embedding, verify_embedding
+from k5minus.wheel import ShorterWitness
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -72,6 +73,22 @@ def test_invalid_found_step_falls_back(monkeypatch):
     assert isinstance(res, Found)
     assert verify_embedding(g, res.embedding) == []
     assert res.trace[-1]["case_label"] == "fallback"
+
+
+def test_improve_step_not_shorter_falls_back(monkeypatch):
+    """The driver's progress guard: a wheel no shorter than the current one
+    is not taken, so the case loop cannot cycle."""
+
+    def same_wheel(ctx, wheel, depth):
+        return StepImprove(ShorterWitness(wheel, tuple(len(s) - 1 for s in wheel.spokes)))
+
+    g = circulant(9, (1, 2))
+    monkeypatch.setattr(extractor, "_analyze", same_wheel)
+    res = extract(g)
+    assert isinstance(res, Found)
+    assert verify_embedding(g, res.embedding) == []
+    fallbacks = [ev["action"] for ev in res.trace if ev["case_label"] == "fallback"]
+    assert fallbacks == ["search:improve_guard"]
 
 
 def test_tampered_claim_search_under_optimize():
