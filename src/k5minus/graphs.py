@@ -225,7 +225,7 @@ def parse_edge_list(text: str) -> Graph:
     head = lines[0].split()
     if len(head) != 2:
         raise GraphError(f"expected 'n m' header, got {lines[0]!r}")
-    n, m = int(head[0]), int(head[1])
+    n, m = _ints(head, lines[0])
     if len(lines) - 1 != m:
         raise GraphError(f"header says {m} edges, found {len(lines) - 1}")
     edges = []
@@ -233,8 +233,15 @@ def parse_edge_list(text: str) -> Graph:
         parts = ln.split()
         if len(parts) != 2:
             raise GraphError(f"expected 'u v', got {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        edges.append(_ints(parts, ln))
     return Graph(n, edges)
+
+
+def _ints(tokens, line: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(t) for t in tokens)
+    except ValueError:
+        raise GraphError(f"expected integers, got {line!r}") from None
 
 
 def write_edge_list(g: Graph) -> str:

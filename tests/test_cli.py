@@ -140,6 +140,13 @@ def test_bench_both_backends(capsys, k5_file):
     assert data["backends"]["py"]["outcomes"] == {"found": 1}
 
 
-def test_usage_error_exit_2(capsys):
+def test_usage_error_exit_2(capsys, tmp_path):
     assert main(["detect", "--pattern", "k5minus"]) == 2
     assert main(["extract", "--in", "/nonexistent/file.g6"]) == 2
+    non_ascii = tmp_path / "bad.g6"
+    non_ascii.write_bytes(b"D\xc3\xa9\n")
+    assert main(["extract", "--in", str(non_ascii)]) == 2
+    bad_token = tmp_path / "bad.edges"
+    bad_token.write_text("3 x\n")
+    assert main(["extract", "--in", str(bad_token)]) == 2
+    assert main(["extract", "--in", str(tmp_path)]) == 2
