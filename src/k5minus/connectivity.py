@@ -252,8 +252,9 @@ def find_separator(g: Graph, k: int) -> Separator | None:
     """A minimum separator when kappa(G) < k and G is incomplete; else None.
 
     The returned cut is the lexicographically least minimum cut whenever the
-    brute-force scan is affordable (always true for the engine's k <= 4 use);
-    otherwise it is the flow cut of the first s,t pair that reaches kappa.
+    brute-force scan of comb(n, kappa) vertex sets stays within 500,000 (for
+    kappa = 3 that holds up to n = 145); otherwise it is the flow cut of the
+    first s,t pair that reaches kappa.
     """
     if k < 1:
         raise ValueError("k must be positive")

@@ -3,10 +3,12 @@
 Given any graph, the extractor maintains a short W4-subdivision, follows the
 five-way case analysis on where an extra path from v1 can land, and drives
 the configuration to one of three verified ends: a K5-minus embedding, a
-strictly better wheel (loop), or a vertex cut of size at most three.  A
-bookkeeping fallback (plain whole-graph search, then a separator) guarantees
-an answer whenever the guided path runs out of script; its use is recorded
-in the trace so the guided-path fidelity is measurable.
+strictly better wheel (loop), or a vertex cut of size at most three.  The
+seed (`find_w4`) gives the first wheel or already a cut.  A bookkeeping
+fallback (plain whole-graph search, then a separator) guarantees an answer
+whenever the guided path runs out of script; its use is recorded in the
+trace so the guided-path fidelity is measurable.  Before any give-up on the
+node budget, a cut of at most three vertices is looked for by flow.
 """
 
 from __future__ import annotations
@@ -178,23 +180,19 @@ def extract(
                 Witness("low_degree", tuple(sorted(cut)), sep, v), trace, tracker.used
             )
 
-    w = find_w4(g, tracker=tracker)
-    if isinstance(w, BudgetExceeded):
-        return GaveUp("budget:find_w4", trace, tracker.used)
-    if w is None:
-        sep = find_separator(g, 4)
-        if sep is None:
-            raise AssertionError("no wheel and no small cut: impossible")
+    stages: list[str] = []
+    seed = find_w4(g, tracker=tracker, on_stage=stages.append)
+    if isinstance(seed, Separator):
         ctx.emit("no_w4", "cut", 0)
-        return NotFourConnected(
-            Witness("cut", tuple(sorted(sep.cut)), sep), trace, tracker.used
-        )
-    ctx.emit("start", "find_w4", w.total_spoke_length)
-    wheel, steps, exhausted = make_short(g, w, tracker)
+        if verify_separator(g, seed) and len(seed.cut) <= 3:
+            return _cut(ctx, seed)
+        return _fallback(ctx, "invalid_cut", None)
+    ctx.emit("start", stages[0], seed.total_spoke_length)
+    wheel, steps, exhausted = make_short(g, seed, tracker)
     for s in steps:
         ctx.emit("start", "improve", s.wheel.total_spoke_length)
     if exhausted:
-        return GaveUp("budget:make_short", trace, tracker.used)
+        return _give_up(ctx, "budget:make_short", wheel.total_spoke_length)
 
     iterations = 0
     while True:
@@ -202,7 +200,7 @@ def extract(
         if iterations > 4 * g.n + 16:
             return _fallback(ctx, "iteration_cap", wheel)
         if tracker.exhausted:
-            return GaveUp("budget:analysis", trace, tracker.used)
+            return _give_up(ctx, "budget:analysis", wheel.total_spoke_length)
         step = resolve(ctx, _analyze(ctx, wheel, 0))
         if isinstance(step, StepFound):
             if verify_embedding(g, step.embedding) != []:
@@ -210,13 +208,7 @@ def extract(
             return Found(step.embedding, trace, tracker.used)
         if isinstance(step, StepCut):
             if verify_separator(g, step.separator) and len(step.separator.cut) <= 3:
-                return NotFourConnected(
-                    Witness(
-                        "cut", tuple(sorted(step.separator.cut)), step.separator
-                    ),
-                    trace,
-                    tracker.used,
-                )
+                return _cut(ctx, step.separator)
             return _fallback(ctx, "invalid_cut", wheel)
         if isinstance(step, StepImprove):
             new = step.witness.wheel
@@ -226,13 +218,29 @@ def extract(
             for s in steps:
                 ctx.emit("driver", "improve", s.wheel.total_spoke_length)
             if exhausted:
-                return GaveUp("budget:make_short", trace, tracker.used)
+                return _give_up(ctx, "budget:make_short", wheel.total_spoke_length)
             continue
         if isinstance(step, StepBudget):
-            return GaveUp("budget:casework", trace, tracker.used)
+            return _give_up(ctx, "budget:casework", wheel.total_spoke_length)
         if isinstance(step, StepFallback):
             return _fallback(ctx, step.reason, wheel)
         raise AssertionError(f"unknown step {step!r}")
+
+
+def _cut(ctx: Ctx, sep: Separator) -> NotFourConnected:
+    return NotFourConnected(
+        Witness("cut", tuple(sorted(sep.cut)), sep), ctx.trace, ctx.tracker.used
+    )
+
+
+def _give_up(ctx: Ctx, reason: str, total: int):
+    """Answer with a cut of at most three vertices when one exists; else
+    give up for `reason`."""
+    sep = find_separator(ctx.g, 4)
+    if sep is not None and verify_separator(ctx.g, sep):
+        ctx.emit("fallback", "cut:" + reason, total)
+        return _cut(ctx, sep)
+    return GaveUp(reason, ctx.trace, ctx.tracker.used)
 
 
 def _fallback(ctx: Ctx, reason: str, wheel: WheelW4 | None):
@@ -241,7 +249,7 @@ def _fallback(ctx: Ctx, reason: str, wheel: WheelW4 | None):
     ctx.emit("fallback", "search:" + reason, total)
     emb = find_subdivision(ctx.g, K5_MINUS, tracker=ctx.tracker)
     if isinstance(emb, BudgetExceeded):
-        return GaveUp(f"budget:fallback({reason})", ctx.trace, ctx.tracker.used)
+        return _give_up(ctx, f"budget:fallback({reason})", total)
     if emb is not None:
         if verify_embedding(ctx.g, emb) != []:
             raise AssertionError("the unrestricted search returned an invalid embedding")
@@ -252,6 +260,4 @@ def _fallback(ctx: Ctx, reason: str, wheel: WheelW4 | None):
             "4-connected graph with no K5-minus subdivision: impossible"
         )
     ctx.emit("fallback", "cut", total)
-    return NotFourConnected(
-        Witness("cut", tuple(sorted(sep.cut)), sep), ctx.trace, ctx.tracker.used
-    )
+    return _cut(ctx, sep)

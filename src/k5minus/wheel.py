@@ -7,13 +7,19 @@ definition: same hub, every spoke an initial segment of the corresponding old
 spoke, at least one proper.  `improve_once` decides shortness exactly (up to
 budget) by trying every prefix tuple and searching for a rim among the
 remaining vertices with an anchored 4-cycle search.
+
+The first wheel comes from `find_w4`: a bounded unrestricted search, then,
+when that gives none, `fan_seed`, which builds one in polynomial time from
+Dirac's fan lemma or returns a cut of at most three vertices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from typing import Callable
 
+from .connectivity import Separator, fan, separator_of
 from .finder import BudgetExceeded, BudgetTracker, find_subdivision
 from .graphs import Graph
 from .patterns import C4, W4, Embedding, verify_embedding
@@ -161,14 +167,136 @@ class ShorterWitness:
 _C4_ORDERS = ((0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3))
 
 
+# Finder nodes the unrestricted W4 search may spend before the fan seed takes
+# over.  Under this allowance the search still seeds all but 11 of sparse4
+# s = 0..7199, where a fan-only seed leaves more inputs to run make_short out
+# of budget, while C_n(1,2) from n = 19, whose search costs 0.5M nodes and
+# more, switch to the fan seed.
+_SEARCH_ALLOWANCE = 20_000
+
+
 def find_w4(
     g: Graph,
     tracker: BudgetTracker | None = None,
-) -> WheelW4 | None | BudgetExceeded:
-    res = find_subdivision(g, W4, tracker=tracker)
-    if res is None or isinstance(res, BudgetExceeded):
+    on_stage: Callable[[str], None] | None = None,
+) -> WheelW4 | Separator | None | BudgetExceeded:
+    """A W4-subdivision of g, seeded in two stages.
+
+    The unrestricted search runs first, under _SEARCH_ALLOWANCE nodes that
+    are charged to tracker.  When it gives no wheel and every degree is at
+    least 4, `fan_seed` answers with a wheel or a cut of at most three
+    vertices.  Below degree 4 the fan lemma promises nothing, so the search's
+    None or BudgetExceeded stands.  on_stage hears which stage gave the
+    returned wheel: "find_w4" or "fan".
+    """
+    allowance = _SEARCH_ALLOWANCE
+    if tracker is not None:
+        allowance = min(allowance, tracker.remaining)
+    search = BudgetTracker(allowance)
+    res = find_subdivision(g, W4, tracker=search)
+    if tracker is not None:
+        tracker.charge(search.used)
+    if isinstance(res, Embedding):
+        w, stage = WheelW4.from_embedding(res), "find_w4"
+    elif g.min_degree() < 4:
         return res
-    return WheelW4.from_embedding(res)
+    else:
+        w, stage = fan_seed(g), "fan"
+        if isinstance(w, Separator):
+            return w
+    if on_stage is not None:
+        on_stage(stage)
+    return w
+
+
+def fan_seed(g: Graph) -> WheelW4 | Separator:
+    """A wheel by Dirac's fan lemma, or a cut of at most three vertices.
+
+    Needs every degree at least 4.  The hub is a least-degree vertex, least
+    label on ties, and the rim the shortest of the cycles of length >= 4
+    that `_rim_through` finds in G - hub through each hub neighbour, least
+    neighbour on ties.  Four paths from the hub to distinct rim vertices,
+    disjoint but for the hub and with interiors off the rim, are the spokes;
+    the rim arcs between their ends are the segments.  When no such fan
+    exists, `fan` returns the blocking cut of fewer than 4 vertices.  When
+    a hub neighbour lies on no cycle of length >= 4 in G - hub, the cut that
+    `_rim_through` returns instead is the answer.
+    """
+    if g.min_degree() < 4:
+        raise ValueError("the fan seed needs every degree at least 4")
+    hub = min(range(g.n), key=lambda v: (g.degree(v), v))
+    rim = None
+    for x in g.neighbors(hub):
+        found = _rim_through(g, hub, x)
+        if isinstance(found, frozenset):
+            sep = separator_of(g, found)
+            if sep is None:
+                raise AssertionError(f"rimless cut {sorted(found)} does not separate")
+            return sep
+        if rim is None or len(found) < len(rim):
+            rim = found
+    res = fan(g, hub, frozenset(rim), 4)
+    if isinstance(res, Separator):
+        return res
+    pos = {v: i for i, v in enumerate(rim)}
+    spokes = sorted(res.paths, key=lambda p: pos[p[-1]])
+    ends = [pos[p[-1]] for p in spokes] + [pos[spokes[0][-1]] + len(rim)]
+    around = rim + rim
+    segments = tuple(tuple(around[ends[i]:ends[i + 1] + 1]) for i in range(4))
+    wheel = WheelW4(hub, tuple(spokes), tuple(p[-1] for p in spokes), segments).canonical()
+    bad = wheel.verify(g)
+    if bad:
+        raise AssertionError(f"the fan seed produced an invalid wheel: {bad}")
+    return wheel
+
+
+def _rim_through(g: Graph, hub: int, x: int) -> list[int] | frozenset[int]:
+    """A short cycle of length >= 4 through x in G - hub, found by one
+    breadth-first search from x; or, when it finds none, a cut {hub, x, c}.
+
+    A cycle leaves x into one branch of the search tree (the subtree of a
+    neighbour c of x) and comes back from another, so it is two tree paths
+    joined by an edge between branches.  Edges between two neighbours of x
+    only close triangles; a 4-cycle x c1 c2 c3 through three neighbours is
+    the one such cycle they add.  If neither kind exists and every degree is
+    at least 4, some branch reaches depth 2 while all its edges stay in the
+    branch, so {hub, x, c} cuts it off.
+    """
+    parent = {x: x}
+    depth = {x: 0}
+    branch = {x: x}
+    order = [x]
+    for u in order:
+        for w in g.neighbors(u):
+            if w != hub and w not in parent:
+                parent[w] = u
+                depth[w] = depth[u] + 1
+                branch[w] = w if u == x else branch[u]
+                order.append(w)
+
+    def up(v):
+        path = [v]
+        while path[-1] != x:
+            path.append(parent[path[-1]])
+        return path[::-1]
+
+    best: list[int] | None = None
+    for a in order[1:]:
+        if depth[a] == 1 and (best is None or len(best) > 4):
+            ends = [w for w in g.neighbors(a) if depth.get(w) == 1]
+            if len(ends) >= 2:
+                best = [x, ends[0], a, ends[1]]
+        for b in g.neighbors(a):
+            if b > a and depth.get(b, 0) > 0 and branch[b] != branch[a]:
+                length = depth[a] + depth[b] + 1
+                if length >= 4 and (best is None or length < len(best)):
+                    best = up(a) + up(b)[:0:-1]
+    if best is not None:
+        return best
+    deep = next((v for v in order if depth[v] == 2), None)
+    if deep is None:
+        raise AssertionError("no rim through a neighbour of a degree >= 4 hub")
+    return frozenset((hub, x, branch[deep]))
 
 
 def improve_once(

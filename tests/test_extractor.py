@@ -11,6 +11,7 @@ from k5minus.extractor import (
 )
 from k5minus.finder import SearchBudget
 from k5minus.generator import (
+    circulant,
     complete,
     complete_multipartite,
     generate_4connected,
@@ -164,3 +165,33 @@ def test_found_on_dense_mid_size():
         res = extract(g)
         assert isinstance(res, Found)
         assert verify_embedding(g, res.embedding) == []
+
+
+@pytest.mark.parametrize("n", [20, 40, 60])
+def test_circulant_ladder_found_by_the_fan_seed(n):
+    g = circulant(n, (1, 2))
+    res = extract(g)
+    assert isinstance(res, Found), getattr(res, "reason", res)
+    assert verify_embedding(g, res.embedding) == []
+    assert not used_fallback(res.trace)
+
+
+def test_trace_names_the_seed():
+    def first(g):
+        ev = extract(g).trace[0]
+        return ev["case_label"], ev["action"]
+
+    assert first(circulant(20, (1, 2))) == ("start", "fan")
+    assert first(torus(4, 4)) == ("start", "find_w4")
+
+
+def test_cut_found_before_giving_up():
+    from golden_cases import sparse4_graph
+
+    g = sparse4_graph(584)  # kappa = 3; make_short alone runs past the budget
+    res = extract(g, SearchBudget(50_000))
+    assert isinstance(res, NotFourConnected)
+    assert res.witness.kind == "cut"
+    assert len(res.witness.cut) <= 3
+    assert verify_separator(g, res.witness.separator)
+    assert res.trace[-1]["action"] == "cut:budget:make_short"

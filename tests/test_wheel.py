@@ -1,8 +1,13 @@
+import pytest
+
+from k5minus.connectivity import Separator, verify_separator
 from k5minus.finder import BudgetTracker
+from k5minus.generator import circulant, torus
 from k5minus.graphs import Graph
 from k5minus.wheel import (
     WheelW4,
     concat,
+    fan_seed,
     find_w4,
     improve_once,
     make_short,
@@ -182,3 +187,66 @@ def test_rim_can_reuse_abandoned_spoke_tail():
     assert wit is not None
     assert wit.wheel.total_spoke_length < 6
     assert wit.wheel.verify(g) == []
+
+
+# -- the fan seed -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("g", [circulant(20, (1, 2)), torus(6, 6)], ids=["C20", "T6x6"])
+def test_fan_seed_builds_a_wheel(g):
+    w = fan_seed(g)
+    assert isinstance(w, WheelW4)
+    assert w.verify(g) == []
+    assert w.hub == 0  # least degree, least label
+    assert w == w.canonical()
+
+
+@pytest.mark.parametrize("s", [56, 84, 360])
+def test_fan_seed_blocked_gives_a_small_cut(s):
+    from golden_cases import sparse4_graph
+
+    g = sparse4_graph(s)
+    sep = fan_seed(g)
+    assert isinstance(sep, Separator)
+    assert len(sep.cut) <= 3
+    assert verify_separator(g, sep)
+
+
+def test_fan_seed_cut_when_no_rim_through_a_hub_neighbour():
+    # three K5s meet only at the hub 0 and at its neighbour 1, so G - 0 has
+    # no cycle through 1 at all and {0, 1, 2} cuts the first K5 off
+    edges = [(0, 1)]
+    for base in (2, 7, 12):
+        block = range(base, base + 5)
+        edges += [(a, b) for a in block for b in block if a < b]
+        edges += [(1, base), (0, base + 1)]
+    g = Graph(17, edges)
+    assert g.min_degree() == 4 and g.degree(0) == 4
+    sep = fan_seed(g)
+    assert isinstance(sep, Separator)
+    assert sep.cut == {0, 1, 2}
+    assert verify_separator(g, sep)
+
+
+def test_fan_seed_needs_degree_four():
+    with pytest.raises(ValueError):
+        fan_seed(k33())
+
+
+def test_find_w4_names_the_stage_that_seeded():
+    stages = []
+    w = find_w4(torus(4, 4), on_stage=stages.append)
+    assert isinstance(w, WheelW4) and stages == ["find_w4"]
+    stages.clear()
+    g = circulant(20, (1, 2))
+    tracker = BudgetTracker()
+    w = find_w4(g, tracker=tracker, on_stage=stages.append)
+    assert stages == ["fan"] and w == fan_seed(g)
+    # the bounded search ran out of its allowance before the fan seed took over
+    assert 0 < tracker.used < 50_000
+
+
+def test_find_w4_below_degree_four_keeps_the_search_answer():
+    stages = []
+    assert find_w4(k33(), on_stage=stages.append) is None
+    assert stages == []
