@@ -10,17 +10,27 @@ The search interleaves branch placement with path routing: a pattern edge is
 routed as soon as both of its branch images are chosen, so infeasible
 placements die before the remaining branches are enumerated.
 
+Unlike the compiled twin, this kernel works on neighbour bitmasks and runs on
+an explicit stack, so it has no size limit and no recursion limit:
+
+- a route step computes, by a mask-frontier BFS from the far end w, the
+  layers `near[r]` of allowed vertices at distance <= r - 1 from w (expanding
+  only through allowed vertices), where the compiled kernel keeps a distance
+  list;
+- a path grows from u one vertex at a time; the candidates of a vertex x
+  with r edges still to go are `rmask[x] & near[r] & ~onpath`, taken from
+  the low bit up, which is the compiled kernel's sorted-adjacency order;
+- each step of the schedule keeps its iteration state in `state[si]`, and
+  the path in progress keeps the untried candidates of its vertices on a
+  list, so backtracking pops instead of returning.
+
 Kernel contract: `search` returns (status, branch_map, paths, nodes_used)
 with status 0 = found, 1 = exhausted (no embedding), 2 = budget exceeded.
+The Python kernel takes the host as neighbour bitmasks (`Graph._adj_bits`);
+the compiled one takes sorted adjacency lists.
 """
 
 from __future__ import annotations
-
-_INF = 1 << 30
-
-
-class _Budget(Exception):
-    pass
 
 
 def make_schedule(k, edges, anchor_branches, degs):
@@ -46,122 +56,169 @@ def make_schedule(k, edges, anchor_branches, degs):
     return steps
 
 
-def search(n, adj, restrict_mask, k, edges, degs, anchors, node_limit, max_len=None):
+def search(n, adj_bits, restrict_mask, k, edges, degs, anchors, node_limit, max_len=None):
     if max_len is None:
         max_len = n
-    nedges = len(edges)
-    counter = [0]
-
     # adjacency restricted to the allowed vertex set
-    radj: list[tuple[int, ...]] = []
-    for v in range(n):
-        if restrict_mask >> v & 1:
-            radj.append(tuple(w for w in adj[v] if restrict_mask >> w & 1))
-        else:
-            radj.append(())
-    rmask = []
-    for v in range(n):
-        m = 0
-        for w in radj[v]:
-            m |= 1 << w
-        rmask.append(m)
+    rmask = [
+        adj_bits[v] & restrict_mask if restrict_mask >> v & 1 else 0
+        for v in range(n)
+    ]
+    rdeg = [m.bit_count() for m in rmask]
 
     anchor_of = dict(anchors)
     steps = make_schedule(k, edges, anchor_of.keys(), degs)
+    nsteps = len(steps)
+    # by decreasing restricted degree, then label (the sort is stable)
     base_cands = sorted(
-        (v for v in range(n) if restrict_mask >> v & 1),
-        key=lambda v: (-len(radj[v]), v),
+        [v for v in range(n) if restrict_mask >> v & 1],
+        key=rdeg.__getitem__,
+        reverse=True,
     )
+    cands_of = [(anchor_of[b],) if b in anchor_of else base_cands for b in range(k)]
 
     img = [-1] * k
-    paths: list[tuple[int, ...] | None] = [None] * nedges
+    counter = 0
+    # per step: the used mask on entry, and the iteration state (an assign
+    # step's next candidate index; a route step's suspended path search)
+    entry_used = [0] * nsteps
+    state: list = [None] * nsteps
 
-    def tick():
-        counter[0] += 1
-        if counter[0] > node_limit:
-            raise _Budget
-
-    def dist_to(w, allowed):
-        # BFS distances toward w; expansion only through `allowed` vertices
-        dist = [_INF] * n
-        dist[w] = 0
-        queue = [w]
-        qi = 0
-        while qi < len(queue):
-            z = queue[qi]
-            qi += 1
-            dz = dist[z] + 1
-            for y in radj[z]:
-                if dist[y] > dz:
-                    dist[y] = dz
-                    if allowed >> y & 1:
-                        queue.append(y)
-        return dist
-
-    def run(si, used_mask):
-        if si == len(steps):
-            return True
+    si = 0
+    used = 0
+    entering = True  # True: run(si, used) was just called; False: resume si
+    while True:
+        if si == nsteps:
+            break
+        if si < 0:
+            return 1, None, None, counter
         kind, arg = steps[si]
-        if kind == 0:
+
+        if kind == 0:  # place branch `arg`
             b = arg
-            cands = (anchor_of[b],) if b in anchor_of else base_cands
+            if entering:
+                entry_used[si] = used
+                ci = 0
+            else:
+                used = entry_used[si]
+                ci = state[si]
+            cands = cands_of[b]
             need = degs[b]
-            for v in cands:
-                tick()
-                if used_mask >> v & 1:
-                    continue
-                if len(radj[v]) < need:
+            while ci < len(cands):
+                v = cands[ci]
+                ci += 1
+                counter += 1
+                if counter > node_limit:
+                    return 2, None, None, counter
+                if used >> v & 1 or rdeg[v] < need:
                     continue
                 img[b] = v
-                if run(si + 1, used_mask | (1 << v)):
-                    return True
-            img[b] = -1
-            return False
+                state[si] = ci
+                used |= 1 << v
+                si += 1
+                entering = True
+                break
+            else:
+                img[b] = -1
+                si -= 1
+                entering = False
+            continue
 
-        e = arg
-        a, b = edges[e]
-        u, w = img[a], img[b]
-        allowed = restrict_mask & ~used_mask
-        dist = dist_to(w, allowed)
-        du = dist[u]
-        if du >= _INF:
-            return False
-        maxlen = bin(allowed).count("1") + 1
-        if maxlen > max_len:
-            maxlen = max_len
-        if du > maxlen:
-            return False
-        path = [u]
+        # route pattern edge `arg` from u = img[a] to w = img[b]
+        if entering:
+            entry_used[si] = used
+            a, b = edges[arg]
+            u, w = img[a], img[b]
+            ubit = 1 << u
+            allowed = restrict_mask & ~used
+            maxlen = allowed.bit_count() + 1
+            if maxlen > max_len:
+                maxlen = max_len
+            # near[r]: allowed vertices within distance r - 1 of w, the
+            # candidates of a path vertex with r edges to go; du: the
+            # distance of u, searched only as far as maxlen
+            seen = frontier = 1 << w
+            near = [0, 0]
+            du = 0
+            while frontier and len(near) <= maxlen + 1:
+                nxt = 0
+                while frontier:
+                    low = frontier & -frontier
+                    frontier ^= low
+                    nxt |= rmask[low.bit_length() - 1]
+                nxt &= ~seen
+                if not du and nxt & ubit:
+                    du = len(near) - 1
+                seen |= nxt
+                near.append(seen & allowed)
+                frontier = nxt & allowed
+            if not du:  # unreachable, or farther than maxlen
+                si -= 1
+                entering = False
+                continue
+            if len(near) <= maxlen:
+                near += [near[-1]] * (maxlen + 1 - len(near))
+            length = du - 1
+            cmask = 0  # untried candidates of the path's last vertex
+            stack: list[int] = []  # untried candidates of the vertices before it
+            path: list[int] = []
+            onpath = 0
+            rem = 0  # edges still to route from the path's last vertex
+        else:
+            (u, ubit, w, near, maxlen, length,
+             cmask, stack, path, onpath, rem, _) = state[si]
 
-        def extend(x, remaining, onpath_mask):
-            tick()
-            if remaining == 1:
-                if rmask[x] >> w & 1:
-                    path.append(w)
-                    paths[e] = tuple(path)
-                    if run(si + 1, used_mask | (onpath_mask & ~(1 << u))):
-                        return True
-                    paths[e] = None
-                    path.pop()
-                return False
-            r1 = remaining - 1
-            for y in radj[x]:
-                if (allowed >> y & 1) and not (onpath_mask >> y & 1) and dist[y] <= r1:
-                    path.append(y)
-                    if extend(y, r1, onpath_mask | (1 << y)):
-                        return True
-                    path.pop()
-            return False
+        leaf = -1
+        while True:
+            if cmask:
+                low = cmask & -cmask
+                cmask ^= low
+                counter += 1
+                if counter > node_limit:
+                    return 2, None, None, counter
+                y = low.bit_length() - 1
+                if rem == 2:  # y is in near[2], so a neighbour of w: done
+                    leaf = y
+                    break
+                stack.append(cmask)
+                path.append(y)
+                onpath |= low
+                rem -= 1
+                cmask = rmask[y] & near[rem] & ~onpath
+                continue
+            if path:  # every extension of the last vertex failed
+                onpath ^= 1 << path.pop()
+                rem += 1
+                cmask = stack.pop()
+                continue
+            length += 1
+            if length > maxlen:
+                break
+            counter += 1
+            if counter > node_limit:
+                return 2, None, None, counter
+            if length == 1:  # only when du = 1: u is a neighbour of w
+                leaf = u
+                break
+            stack.append(0)
+            path.append(u)
+            onpath = ubit
+            rem = length
+            cmask = rmask[u] & near[length]
 
-        for length in range(max(du, 1), maxlen + 1):
-            if extend(u, length, 1 << u):
-                return True
-        return False
+        if leaf < 0:
+            si -= 1
+            entering = False
+            continue
+        state[si] = (u, ubit, w, near, maxlen, length,
+                     cmask, stack, path, onpath, rem, leaf)
+        used = entry_used[si] | ((onpath | 1 << leaf) & ~ubit)
+        si += 1
+        entering = True
 
-    try:
-        found = run(0, 0)
-    except _Budget:
-        return 2, None, None, counter[0]
-    if found:
-        return 0, tuple(img), tuple(paths), counter[0]
-    return 1, None, None, counter[0]
+    paths: list[tuple[int, ...] | None] = [None] * len(edges)
+    for si, (kind, arg) in enumerate(steps):
+        if kind == 1:
+            _, _, w, _, _, _, _, _, path, _, _, leaf = state[si]
+            paths[arg] = (*path, leaf, w)
+    return 0, tuple(img), tuple(paths), counter

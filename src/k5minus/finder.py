@@ -135,11 +135,16 @@ def find_subdivision(
     if limit <= 0:
         return BudgetExceeded(0)
 
-    adj = [g.neighbors(v) for v in range(g.n)]
     degs = list(pattern.degrees())
     edges = list(pattern.edges)
 
-    kernel = _finder_c if backend_for(g, backend) == "c" else _finder_py
+    # the compiled kernel takes sorted adjacency lists, the Python one masks
+    if backend_for(g, backend) == "c":
+        kernel = _finder_c
+        adj = [g.neighbors(v) for v in range(g.n)]
+    else:
+        kernel = _finder_py
+        adj = g._adj_bits
 
     # iterative widening: search with capped path lengths first, so compact
     # embeddings are found cheaply; only the final uncapped pass may declare

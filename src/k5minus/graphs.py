@@ -1,11 +1,16 @@
 """Immutable simple undirected graphs with graph6 and edge-list interchange.
 
-Vertices are dense integers 0..n-1.  Graph values never change after
-construction, so they can be shared freely between concurrent searches.
+Vertices are dense integers 0..n-1.  A Graph stores one neighbour bitmask
+per vertex and nothing else; the sorted neighbour tuples are derived from the
+masks on first use.  graph6 decoding walks the set bits of the body straight
+into those masks.  Graph values never change after construction (the lazy
+tuple fill is idempotent), so they can be shared freely between concurrent
+searches.
 """
 
 from __future__ import annotations
 
+from math import isqrt
 from typing import Iterable
 
 
@@ -30,32 +35,40 @@ class MalformedEncoding(GraphError):
 
 
 class Graph:
-    """Simple undirected graph on vertices 0..n-1 with sorted adjacency."""
+    """Simple undirected graph on vertices 0..n-1, stored as neighbour masks.
 
-    __slots__ = ("n", "m", "_adj", "_adj_bits")
+    Bit v of `_adj_bits[u]` is set iff u-v is an edge: n/8 bytes per vertex,
+    where a tuple or frozenset of neighbours costs hundreds at this engine's
+    sizes.  The sorted neighbour tuples that `neighbors` returns are built
+    from the masks on its first call; that fill is idempotent, so a Graph can
+    still be shared freely.
+    """
+
+    __slots__ = ("n", "_adj_bits", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise OutOfRange(f"negative vertex count {n}")
-        adj: list[set[int]] = [set() for _ in range(n)]
-        # bit v of bits[u] is set iff u-v is an edge: n/8 bytes per vertex,
-        # where a frozenset of neighbours costs hundreds at this engine's sizes
         bits = [0] * n
         for u, v in edges:
             if not (0 <= u < n) or not (0 <= v < n):
                 raise OutOfRange(f"edge ({u}, {v}) outside 0..{n - 1}")
             if u == v:
                 raise SelfLoop(f"self-loop at {u}")
-            adj[u].add(v)
-            adj[v].add(u)
             bits[u] |= 1 << v
             bits[v] |= 1 << u
         self.n = n
-        self._adj: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(s)) for s in adj
-        )
         self._adj_bits: tuple[int, ...] = tuple(bits)
-        self.m = sum(len(s) for s in adj) // 2
+        self._adj: tuple[tuple[int, ...], ...] | None = None
+
+    @classmethod
+    def _from_bits(cls, n: int, bits: list[int]) -> Graph:
+        """Wrap symmetric, loop-free masks that the caller has validated."""
+        g = object.__new__(cls)
+        g.n = n
+        g._adj_bits = tuple(bits)
+        g._adj = None
+        return g
 
     # -- queries ---------------------------------------------------------
 
@@ -63,37 +76,58 @@ class Graph:
     def vertices(self) -> range:
         return range(self.n)
 
+    @property
+    def m(self) -> int:
+        return sum(b.bit_count() for b in self._adj_bits) // 2
+
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adj[v]
+        adj = self._adj
+        if adj is None:
+            adj = self._adj = tuple(_members(b) for b in self._adj_bits)
+        return adj[v]
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return self._adj_bits[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
         return self._adj_bits[u] >> v & 1 == 1
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, lexicographically sorted."""
-        return [(u, v) for u in range(self.n) for v in self._adj[u] if u < v]
+        return [
+            (u, v)
+            for u, b in enumerate(self._adj_bits)
+            for v in _members(b >> (u + 1) << (u + 1))
+        ]
 
     def min_degree(self) -> int:
-        return min((len(a) for a in self._adj), default=0)
+        return min((b.bit_count() for b in self._adj_bits), default=0)
 
     def is_complete(self) -> bool:
-        return all(len(a) == self.n - 1 for a in self._adj)
+        return all(b.bit_count() == self.n - 1 for b in self._adj_bits)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Graph)
             and self.n == other.n
-            and self._adj == other._adj
+            and self._adj_bits == other._adj_bits
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self._adj))
+        return hash((self.n, self._adj_bits))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _members(mask: int) -> tuple[int, ...]:
+    """The set bits of mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -122,6 +156,8 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, dict[int, int]]
 # -- graph6 ---------------------------------------------------------------
 
 _G6_HEADER = ">>graph6<<"
+# each data character as its six bits, most significant first
+_G6_BITS = {c: format(c - 63, "06b") for c in range(63, 127)}
 
 
 def _g6_size(data: str, offset: int) -> tuple[int, int]:
@@ -170,24 +206,24 @@ def parse_graph6(text: str) -> Graph:
         )
     if len(body) > nbytes:
         raise MalformedEncoding("trailing bytes", offset + nbytes)
-    bits = []
-    for i, ch in enumerate(body):
-        c = ord(ch)
-        if not 63 <= c <= 126:
-            raise MalformedEncoding(f"bad data byte {c}", offset + i)
-        x = c - 63
-        bits.extend((x >> shift) & 1 for shift in (5, 4, 3, 2, 1, 0))
-    for i in range(nbits, len(bits)):
-        if bits[i]:
-            raise MalformedEncoding("nonzero padding", offset + i // 6)
-    edges = []
-    idx = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[idx]:
-                edges.append((u, v))
-            idx += 1
-    return Graph(n, edges)
+    if body and (min(body) < "?" or max(body) > "~"):
+        i = next(i for i, ch in enumerate(body) if not "?" <= ch <= "~")
+        raise MalformedEncoding(f"bad data byte {ord(body[i])}", offset + i)
+    # bit i of the upper triangle, column by column, is edge (u, v) with
+    # i = v(v-1)/2 + u and u < v
+    bits = body.translate(_G6_BITS)
+    i = bits.find("1", nbits)
+    if i >= 0:
+        raise MalformedEncoding("nonzero padding", offset + i // 6)
+    adj = [0] * n
+    i = bits.find("1")
+    while i >= 0:
+        v = (1 + isqrt(1 + 8 * i)) // 2
+        u = i - v * (v - 1) // 2
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+        i = bits.find("1", i + 1)
+    return Graph._from_bits(n, adj)
 
 
 def write_graph6(g: Graph) -> str:

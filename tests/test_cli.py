@@ -38,6 +38,18 @@ def test_detect_k5minus_in_k5(capsys, k5_file):
     assert "certificate" in lines[0]
 
 
+def test_detect_deep_subdivision(capsys, tmp_path):
+    from k5minus.patterns import K5_MINUS, Embedding, verify_embedding
+    from test_finder import subdivided
+
+    g = subdivided(K5_MINUS, 120)  # n = 1085
+    path = tmp_path / "deep.g6"
+    path.write_text(write_graph6(g) + "\n")
+    code, lines = run(capsys, ["detect", "--pattern", "k5minus", "--in", str(path)])
+    assert code == 0 and lines[0]["contains"] is True
+    assert verify_embedding(g, Embedding.from_json(lines[0]["certificate"])) == []
+
+
 def test_detect_negative_exit(capsys, c5_file):
     code, lines = run(capsys, ["detect", "--pattern", "k5minus", "--in", c5_file])
     assert code == 1

@@ -1,10 +1,17 @@
+import importlib.util
+import random
+import shutil
+import subprocess
+import sysconfig
+from pathlib import Path
+
 import pytest
 
+from k5minus import finder
 from k5minus.finder import (
     BudgetExceeded,
     BudgetTracker,
     SearchBudget,
-    compiled_available,
     find_subdivision,
 )
 from k5minus.generator import random_graph
@@ -28,6 +35,17 @@ def wheel4():
 def octahedron():
     non = {(0, 1), (2, 3), (4, 5)}
     return Graph(6, [(a, b) for a in range(6) for b in range(a + 1, 6) if (a, b) not in non])
+
+
+def subdivided(pattern, per_edge):
+    """pattern with `per_edge` new vertices on every edge."""
+    n = pattern.k
+    edges = []
+    for a, b in pattern.edges:
+        chain = [a, *range(n, n + per_edge), b]
+        n += per_edge
+        edges += zip(chain, chain[1:])
+    return Graph(n, edges)
 
 
 def graph_from_mask(n, mask):
@@ -143,26 +161,92 @@ def test_anchored_empty_equals_unanchored():
             assert b is not None and a.branch_map == b.branch_map and a.paths == b.paths
 
 
-@pytest.mark.skipif(not compiled_available(), reason="compiled backend not built")
-def test_backends_identical():
+def test_deep_subdivision_has_no_recursion_limit():
+    # nine paths of 121 edges: one Python frame per path vertex would pass
+    # the default recursion limit
+    g = subdivided(K5_MINUS, 120)
+    assert g.n == 1085
+    emb = find_subdivision(g, K5_MINUS)
+    assert emb is not None and not isinstance(emb, BudgetExceeded)
+    assert verify_embedding(g, emb) == []
+
+
+@pytest.fixture(scope="session")
+def compiled_kernel(tmp_path_factory):
+    """The shipped `_finder_c.c`, built with the host C compiler."""
+    source = Path(finder.__file__).with_name("_finder_c.c")
+    include = sysconfig.get_paths()["include"]
+    cc = shutil.which("cc") or shutil.which("gcc")
+    if cc is None:
+        pytest.skip("no C compiler")
+    if not Path(include, "Python.h").exists():
+        pytest.skip("no Python headers")
+    out = tmp_path_factory.mktemp("finder_c") / (
+        "_finder_c" + sysconfig.get_config_var("EXT_SUFFIX")
+    )
+    subprocess.run(
+        [cc, "-shared", "-fPIC", "-O2", "-w", f"-I{include}", str(source), "-o", str(out)],
+        check=True,
+    )
+    spec = importlib.util.spec_from_file_location("k5minus._finder_c", out)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def with_compiled(monkeypatch, compiled_kernel):
+    monkeypatch.setattr(finder, "_finder_c", compiled_kernel)
+    assert finder.compiled_available()
+
+
+def _outcome(g, pat, limit, backend, anchors=None, restrict=None):
+    tracker = BudgetTracker(limit)
+    res = find_subdivision(
+        g, pat, anchors=anchors, restrict=restrict, backend=backend, tracker=tracker
+    )
+    if isinstance(res, BudgetExceeded):
+        key = ("budget", res.nodes_used)
+    elif res is None:
+        key = None
+    else:
+        key = (res.branch_map, res.paths)
+    return key, tracker.used
+
+
+def test_backends_identical(with_compiled):
     for seed in range(40):
         g = random_graph(9, 0.4, seed)
         for pat in (W4, K5_MINUS, C4):
             for limit in (50, 5_000, 2_000_000):
-                a = find_subdivision(g, pat, budget=SearchBudget(limit), backend="c")
-                b = find_subdivision(g, pat, budget=SearchBudget(limit), backend="py")
-                if isinstance(a, BudgetExceeded):
-                    assert isinstance(b, BudgetExceeded)
-                    assert a.nodes_used == b.nodes_used
-                elif a is None:
-                    assert b is None
-                else:
-                    assert b is not None
-                    assert a.branch_map == b.branch_map and a.paths == b.paths
+                assert _outcome(g, pat, limit, "c") == _outcome(g, pat, limit, "py")
+    # restricted and anchored searches on larger hosts
+    rng = random.Random(7)
+    for _ in range(300):
+        n = rng.randint(6, 30)
+        g = random_graph(n, rng.choice((0.15, 0.25, 0.4)), rng.randrange(10**6))
+        pat = rng.choice((W4, K5_MINUS, C4))
+        restrict = None
+        if rng.random() < 0.6:
+            restrict = {v for v in range(n) if rng.random() < 0.8}
+        pool = sorted(restrict) if restrict is not None else list(range(n))
+        anchors = {}
+        for b in range(pat.k):
+            if rng.random() < 0.25:
+                free = [
+                    v for v in pool
+                    if g.degree(v) >= pat.degree(b) and v not in anchors.values()
+                ]
+                if free:
+                    anchors[b] = rng.choice(free)
+        limit = rng.choice((30, 500, 20_000, 200_000))
+        args = (g, pat, limit)
+        assert _outcome(*args, "c", anchors, restrict) == _outcome(
+            *args, "py", anchors, restrict
+        )
 
 
-@pytest.mark.skipif(not compiled_available(), reason="compiled backend not built")
-def test_large_host_falls_back_to_python():
+def test_large_host_falls_back_to_python(with_compiled):
     from k5minus.finder import backend_for
 
     g = Graph(70, [(i, i + 1) for i in range(69)])

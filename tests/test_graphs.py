@@ -95,6 +95,48 @@ def test_graph6_malformed_offsets():
         parse_graph6("B" + chr(40))  # data byte below 63
 
 
+@pytest.mark.parametrize(
+    "text, offset, message",
+    [
+        ("", 0, "empty graph6 string"),
+        ("~", 0, "truncated 4-byte size field"),
+        ("~?@", 0, "truncated 4-byte size field"),
+        ("~~?????", 0, "truncated 8-byte size field"),
+        ("~?!?", 1, "bad size byte"),
+        ("~~?!????", 2, "bad size byte"),
+        ("D~", 2, "need 2 data bytes, got 1"),
+        ("B(", 1, "bad data byte 40"),
+        ("D~\x7f", 2, "bad data byte 127"),
+        ("D {", 1, "bad data byte 32"),
+        ("D\xe9{", 1, "bad data byte 233"),
+        ("B@", 1, "nonzero padding"),
+        ("BA", 1, "nonzero padding"),
+        ("D~|", 2, "nonzero padding"),
+        ("@!", 1, "trailing bytes"),
+        ("D~{{", 3, "trailing bytes"),
+        ("D~{{{", 3, "trailing bytes"),
+    ],
+)
+@pytest.mark.parametrize("header", ["", ">>graph6<<"])
+def test_graph6_malformed_offset_pinned(text, offset, message, header):
+    with pytest.raises(MalformedEncoding) as info:
+        parse_graph6(header + text)
+    assert info.value.offset == len(header) + offset
+    assert str(info.value) == f"{message} (byte {len(header) + offset})"
+
+
+def test_graph6_roundtrip_sizes_0_to_70():
+    # 63..70 take the 4-byte size field; each size also walks every bit
+    # position of the upper triangle's index map
+    for n in range(71):
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        picks = [pairs[i] for i in range(len(pairs)) if (i * 7 + n) % 5 < 2]
+        for g in (Graph(n, picks), Graph(n, pairs)):
+            text = write_graph6(g)
+            assert parse_graph6(text) == g
+            assert parse_graph6(text).edges() == sorted(g.edges())
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 12), st.data())
 def test_graph6_roundtrip_random(n, data):
