@@ -16,21 +16,33 @@ an explicit stack, so it has no size limit and no recursion limit:
 - a route step computes, by a mask-frontier BFS from the far end w, the
   layers `near[r]` of allowed vertices at distance <= r - 1 from w (expanding
   only through allowed vertices), where the compiled kernel keeps a distance
-  list;
+  list.  The layers are built lazily: the BFS stops at the layer of the
+  near end u, and each longer path tried grows them by one level from the
+  BFS state (`seen`, `frontier`, `allowed`) kept with the step;
 - a path grows from u one vertex at a time; the candidates of a vertex x
-  with r edges still to go are `rmask[x] & near[r] & ~onpath`, taken from
-  the low bit up, which is the compiled kernel's sorted-adjacency order;
+  with r edges still to go are `adj_bits[x] & near[r] & ~onpath`, taken from
+  the low bit up, which is the compiled kernel's sorted-adjacency order
+  (`near` lies inside the allowed set, so the masks need no restriction);
 - each step of the schedule keeps its iteration state in `state[si]`, and
   the path in progress keeps the untried candidates of its vertices on a
   list, so backtracking pops instead of returning.
 
+The schedule is computed once per pattern and set of anchored branches, and
+an all-anchored search (improve_once's C4) skips the candidate sort.
+
 Kernel contract: `search` returns (status, branch_map, paths, nodes_used)
 with status 0 = found, 1 = exhausted (no embedding), 2 = budget exceeded.
 The Python kernel takes the host as neighbour bitmasks (`Graph._adj_bits`);
-the compiled one takes sorted adjacency lists.
+the compiled one takes sorted adjacency lists.  Anchor images must lie in
+`restrict_mask`, as `find_subdivision` checks: the Python kernel reads the
+unrestricted masks of placed vertices.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+
+from .graphs import neighbourhood
 
 
 def make_schedule(k, edges, anchor_branches, degs):
@@ -56,26 +68,32 @@ def make_schedule(k, edges, anchor_branches, degs):
     return steps
 
 
+@lru_cache(maxsize=256)
+def _schedule(k, edges, anchored, degs):
+    """make_schedule, computed once per pattern and set of anchored branches."""
+    return tuple(make_schedule(k, edges, anchored, degs))
+
+
 def search(n, adj_bits, restrict_mask, k, edges, degs, anchors, node_limit, max_len=None):
     if max_len is None:
         max_len = n
-    # adjacency restricted to the allowed vertex set
-    rmask = [
-        adj_bits[v] & restrict_mask if restrict_mask >> v & 1 else 0
-        for v in range(n)
-    ]
-    rdeg = [m.bit_count() for m in rmask]
-
     anchor_of = dict(anchors)
-    steps = make_schedule(k, edges, anchor_of.keys(), degs)
+    steps = _schedule(k, tuple(edges), tuple(anchor_of), tuple(degs))
     nsteps = len(steps)
-    # by decreasing restricted degree, then label (the sort is stable)
-    base_cands = sorted(
-        [v for v in range(n) if restrict_mask >> v & 1],
-        key=rdeg.__getitem__,
-        reverse=True,
-    )
-    cands_of = [(anchor_of[b],) if b in anchor_of else base_cands for b in range(k)]
+    # the degree of a vertex inside the allowed set; only anchors and
+    # restricted vertices are ever candidates
+    if len(anchor_of) == k:  # every branch anchored: no candidate order
+        rdeg = {v: (adj_bits[v] & restrict_mask).bit_count() for v in anchor_of.values()}
+        cands_of = [(anchor_of[b],) for b in range(k)]
+    else:
+        rdeg = [(m & restrict_mask).bit_count() for m in adj_bits]
+        # by decreasing restricted degree, then label (the sort is stable)
+        base_cands = sorted(
+            [v for v in range(n) if restrict_mask >> v & 1],
+            key=rdeg.__getitem__,
+            reverse=True,
+        )
+        cands_of = [(anchor_of[b],) if b in anchor_of else base_cands for b in range(k)]
 
     img = [-1] * k
     counter = 0
@@ -135,37 +153,28 @@ def search(n, adj_bits, restrict_mask, k, edges, degs, anchors, node_limit, max_
             if maxlen > max_len:
                 maxlen = max_len
             # near[r]: allowed vertices within distance r - 1 of w, the
-            # candidates of a path vertex with r edges to go; du: the
-            # distance of u, searched only as far as maxlen
+            # candidates of a path vertex with r edges to go.  The BFS from
+            # w stops at the level that reaches u (or past maxlen); each
+            # longer path tried grows near by one level from seen, frontier
             seen = frontier = 1 << w
             near = [0, 0]
-            du = 0
-            while frontier and len(near) <= maxlen + 1:
-                nxt = 0
-                while frontier:
-                    low = frontier & -frontier
-                    frontier ^= low
-                    nxt |= rmask[low.bit_length() - 1]
-                nxt &= ~seen
-                if not du and nxt & ubit:
-                    du = len(near) - 1
+            while frontier and not seen & ubit and len(near) <= maxlen + 1:
+                nxt = neighbourhood(adj_bits, frontier) & ~seen
                 seen |= nxt
                 near.append(seen & allowed)
                 frontier = nxt & allowed
-            if not du:  # unreachable, or farther than maxlen
+            if not seen & ubit:  # unreachable, or farther than maxlen
                 si -= 1
                 entering = False
                 continue
-            if len(near) <= maxlen:
-                near += [near[-1]] * (maxlen + 1 - len(near))
-            length = du - 1
+            length = len(near) - 3  # one less than dist(u, w)
             cmask = 0  # untried candidates of the path's last vertex
             stack: list[int] = []  # untried candidates of the vertices before it
             path: list[int] = []
             onpath = 0
             rem = 0  # edges still to route from the path's last vertex
         else:
-            (u, ubit, w, near, maxlen, length,
+            (u, ubit, w, near, seen, frontier, allowed, maxlen, length,
              cmask, stack, path, onpath, rem, _) = state[si]
 
         leaf = -1
@@ -184,7 +193,7 @@ def search(n, adj_bits, restrict_mask, k, edges, degs, anchors, node_limit, max_
                 path.append(y)
                 onpath |= low
                 rem -= 1
-                cmask = rmask[y] & near[rem] & ~onpath
+                cmask = adj_bits[y] & near[rem] & ~onpath
                 continue
             if path:  # every extension of the last vertex failed
                 onpath ^= 1 << path.pop()
@@ -197,20 +206,25 @@ def search(n, adj_bits, restrict_mask, k, edges, degs, anchors, node_limit, max_
             counter += 1
             if counter > node_limit:
                 return 2, None, None, counter
-            if length == 1:  # only when du = 1: u is a neighbour of w
+            if length == 1:  # only when u is a neighbour of w
                 leaf = u
                 break
+            while len(near) <= length:
+                nxt = neighbourhood(adj_bits, frontier) & ~seen
+                seen |= nxt
+                near.append(seen & allowed)
+                frontier = nxt & allowed
             stack.append(0)
             path.append(u)
             onpath = ubit
             rem = length
-            cmask = rmask[u] & near[length]
+            cmask = adj_bits[u] & near[length]
 
         if leaf < 0:
             si -= 1
             entering = False
             continue
-        state[si] = (u, ubit, w, near, maxlen, length,
+        state[si] = (u, ubit, w, near, seen, frontier, allowed, maxlen, length,
                      cmask, stack, path, onpath, rem, leaf)
         used = entry_used[si] | ((onpath | 1 << leaf) & ~ubit)
         si += 1
@@ -219,6 +233,6 @@ def search(n, adj_bits, restrict_mask, k, edges, degs, anchors, node_limit, max_
     paths: list[tuple[int, ...] | None] = [None] * len(edges)
     for si, (kind, arg) in enumerate(steps):
         if kind == 1:
-            _, _, w, _, _, _, _, _, path, _, _, leaf = state[si]
+            _, _, w, *_, path, _, _, leaf = state[si]
             paths[arg] = (*path, leaf, w)
     return 0, tuple(img), tuple(paths), counter

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, GraphError, components
+from .graphs import Graph, GraphError, component_masks, members, neighbourhood
 
 
 class InvalidSubgraph(GraphError):
@@ -40,35 +40,38 @@ def compute_bridges(g: Graph, h_vertices, h_edges) -> list[Bridge]:
     """All H-bridges, inner bridges first (by edge), then outer (by least core vertex)."""
     hv = frozenset(h_vertices)
     he = _norm_edges(h_edges)
+    adj = g._adj_bits
+    later: dict[int, int] = {}  # u -> mask of the v > u with (u, v) in he
     for u, v in he:
-        if not g.has_edge(u, v):
+        if not adj[u] >> v & 1:
             raise InvalidSubgraph(f"subgraph edge ({u}, {v}) not in host")
         if u not in hv or v not in hv:
             raise InvalidSubgraph(f"subgraph edge ({u}, {v}) has endpoint outside V(H)")
+        later[u] = later.get(u, 0) | 1 << v
+    hmask = 0
     for v in hv:
         if not (0 <= v < g.n):
             raise InvalidSubgraph(f"subgraph vertex {v} outside host")
+        hmask |= 1 << v
 
     out: list[Bridge] = []
-    for u, v in sorted(
-        (u, v) for u in hv for v in g.neighbors(u) if u < v and v in hv
-    ):
-        if (u, v) not in he:
+    for u in sorted(hv):
+        # host edges from u to later H vertices that H lacks
+        chords = adj[u] & (hmask >> (u + 1) << (u + 1)) & ~later.get(u, 0)
+        for v in members(chords):
             out.append(
                 Bridge("inner", frozenset(), frozenset((u, v)), frozenset([(u, v)]))
             )
 
-    for comp in components(g, hv):
-        core = frozenset(comp)
+    for comp in component_masks(adj, ((1 << g.n) - 1) & ~hmask):
+        att = neighbourhood(adj, comp) & hmask
         feet = set()
-        for x in comp:
-            for y in g.neighbors(x):
-                if y in hv:
-                    feet.add((x, y) if x < y else (y, x))
-        attachments = frozenset(
-            v for e in feet for v in e if v in hv
+        for y in members(att):
+            for x in members(adj[y] & comp):
+                feet.add((x, y) if x < y else (y, x))
+        out.append(
+            Bridge("outer", frozenset(members(comp)), frozenset(members(att)), frozenset(feet))
         )
-        out.append(Bridge("outer", core, attachments, frozenset(feet)))
     return out
 
 
@@ -106,24 +109,27 @@ def bridge_path(g: Graph, b: Bridge, src: int, dst: int) -> tuple[int, ...]:
         return (src,)
     if b.kind == "inner":
         return (src, dst)
+    adj = g._adj_bits
     core = b.core
+    dbit = 1 << dst
     parent = {src: src}
+    seen = 1 << src
     queue = [src]
-    qi = 0
-    while qi < len(queue) and dst not in parent:
-        x = queue[qi]
-        qi += 1
-        for y in g.neighbors(x):
-            if y in parent:
-                continue
+    for x in queue:  # grows while it is walked
+        if adj[x] & dbit and x in core:
+            # the direct src-dst edge is a different (inner) bridge
+            parent[dst] = x
+            break
+        new = adj[x] & ~seen
+        seen |= new
+        while new:
+            low = new & -new
+            new ^= low
+            y = low.bit_length() - 1
             if y in core:
                 parent[y] = x
                 queue.append(y)
-            elif y == dst and x in core:
-                # the direct src-dst edge is a different (inner) bridge
-                parent[y] = x
-                queue.append(y)
-    if dst not in parent:
+    else:
         raise NoSuchPath(f"no core path {src} -> {dst}")
     path = [dst]
     while path[-1] != src:

@@ -30,7 +30,7 @@ from math import comb
 from .graphs import Graph, components
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Separator:
     """A vertex cut together with two separated sides.
 

@@ -43,7 +43,7 @@ from ._work import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Witness:
     """Why the graph is not 4-connected."""
 
@@ -62,7 +62,7 @@ class Witness:
         return out
 
 
-@dataclass
+@dataclass(slots=True)
 class Found:
     embedding: Embedding
     trace: list = field(default_factory=list)
@@ -71,7 +71,7 @@ class Found:
     outcome = "found"
 
 
-@dataclass
+@dataclass(slots=True)
 class NotFourConnected:
     witness: Witness
     trace: list = field(default_factory=list)
@@ -80,7 +80,7 @@ class NotFourConnected:
     outcome = "not_four_connected"
 
 
-@dataclass
+@dataclass(slots=True)
 class GaveUp:
     reason: str
     trace: list = field(default_factory=list)
@@ -170,8 +170,8 @@ def extract(
 
     if g.n <= 4:
         return NotFourConnected(Witness("too_small"), trace, tracker.used)
-    for v in range(g.n):
-        if g.degree(v) <= 3:
+    for v, bits in enumerate(g._adj_bits):
+        if bits.bit_count() <= 3:
             cut = frozenset(g.neighbors(v))
             rest = frozenset(range(g.n)) - cut - {v}
             sep = Separator(cut, frozenset([v]), rest)

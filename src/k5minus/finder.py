@@ -135,9 +135,6 @@ def find_subdivision(
     if limit <= 0:
         return BudgetExceeded(0)
 
-    degs = list(pattern.degrees())
-    edges = list(pattern.edges)
-
     # the compiled kernel takes sorted adjacency lists, the Python one masks
     if backend_for(g, backend) == "c":
         kernel = _finder_c
@@ -164,8 +161,8 @@ def find_subdivision(
             adj,
             restrict_mask,
             pattern.k,
-            edges,
-            degs,
+            pattern.edges,
+            pattern.degrees(),
             anchor_items,
             limit - total_nodes,
             cap,

@@ -2,15 +2,18 @@
 
 Vertices are dense integers 0..n-1.  A Graph stores one neighbour bitmask
 per vertex and nothing else; the sorted neighbour tuples are derived from the
-masks on first use.  graph6 decoding walks the set bits of the body straight
-into those masks.  Graph values never change after construction (the lazy
+masks on first use.  graph6 decoding reads each column of the upper triangle
+as one integer, the mask of a vertex's lower neighbours, and mirrors its bits
+into the masks of those neighbours.  `components`, `component_masks` and
+`neighbourhood` work on the masks, as do the finder kernel, `bridges`,
+`wheel.improve_once` and `verify_embedding`, so a typical extraction never
+builds the tuples.  Graph values never change after construction (the lazy
 tuple fill is idempotent), so they can be shared freely between concurrent
 searches.
 """
 
 from __future__ import annotations
 
-from math import isqrt
 from typing import Iterable
 
 
@@ -83,7 +86,7 @@ class Graph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         adj = self._adj
         if adj is None:
-            adj = self._adj = tuple(_members(b) for b in self._adj_bits)
+            adj = self._adj = tuple(members(b) for b in self._adj_bits)
         return adj[v]
 
     def degree(self, v: int) -> int:
@@ -97,7 +100,7 @@ class Graph:
         return [
             (u, v)
             for u, b in enumerate(self._adj_bits)
-            for v in _members(b >> (u + 1) << (u + 1))
+            for v in members(b >> (u + 1) << (u + 1))
         ]
 
     def min_degree(self) -> int:
@@ -120,7 +123,7 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def _members(mask: int) -> tuple[int, ...]:
+def members(mask: int) -> tuple[int, ...]:
     """The set bits of mask, lowest first."""
     out = []
     while mask:
@@ -206,23 +209,32 @@ def parse_graph6(text: str) -> Graph:
         )
     if len(body) > nbytes:
         raise MalformedEncoding("trailing bytes", offset + nbytes)
-    if body and (min(body) < "?" or max(body) > "~"):
+    # each data byte becomes its six bits; any other character stays one
+    # character, so the length shows whether the body holds one
+    bits = body.translate(_G6_BITS)
+    if len(bits) != 6 * len(body):
         i = next(i for i, ch in enumerate(body) if not "?" <= ch <= "~")
         raise MalformedEncoding(f"bad data byte {ord(body[i])}", offset + i)
-    # bit i of the upper triangle, column by column, is edge (u, v) with
-    # i = v(v-1)/2 + u and u < v
-    bits = body.translate(_G6_BITS)
     i = bits.find("1", nbits)
     if i >= 0:
         raise MalformedEncoding("nonzero padding", offset + i // 6)
+    # bit i of the upper triangle, column by column, is edge (u, v) with
+    # i = v(v-1)/2 + u and u < v.  Column v, the v bits from v(v-1)/2 on,
+    # read in reverse is the mask of v's lower neighbours, each of which gets
+    # v mirrored in.  The body is reversed once, so column 1 comes last and
+    # each column costs time in its own length
+    rbits = bits[::-1]
+    end = len(rbits)
     adj = [0] * n
-    i = bits.find("1")
-    while i >= 0:
-        v = (1 + isqrt(1 + 8 * i)) // 2
-        u = i - v * (v - 1) // 2
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-        i = bits.find("1", i + 1)
+    for v in range(1, n):
+        start = end - v
+        lower = adj[v] = int(rbits[start:end], 2)
+        end = start
+        vbit = 1 << v
+        while lower:
+            low = lower & -lower
+            lower ^= low
+            adj[low.bit_length() - 1] |= vbit
     return Graph._from_bits(n, adj)
 
 
@@ -291,20 +303,32 @@ def write_edge_list(g: Graph) -> str:
 
 def components(g: Graph, removed: frozenset[int] | set[int] = frozenset()) -> list[list[int]]:
     """Connected components of g minus `removed`, each sorted, ordered by min vertex."""
-    seen = set(removed)
+    left = (1 << g.n) - 1
+    for v in removed:
+        if 0 <= v < g.n:
+            left &= ~(1 << v)
+    return [list(members(comp)) for comp in component_masks(g._adj_bits, left)]
+
+
+def component_masks(adj_bits, left: int) -> list[int]:
+    """The vertex masks of the components of the subgraph induced on the
+    mask `left`, ordered by least vertex."""
     comps = []
-    for start in range(g.n):
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in g.neighbors(x):
-                if y not in seen:
-                    seen.add(y)
-                    comp.append(y)
-                    stack.append(y)
-        comps.append(sorted(comp))
+    while left:
+        comp = frontier = left & -left  # the least vertex left
+        while frontier:
+            frontier = neighbourhood(adj_bits, frontier) & left & ~comp
+            comp |= frontier
+        left &= ~comp
+        comps.append(comp)
     return comps
+
+
+def neighbourhood(adj_bits, mask: int) -> int:
+    """The union of the neighbour masks of the vertices in mask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out |= adj_bits[low.bit_length() - 1]
+    return out

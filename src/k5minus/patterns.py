@@ -24,6 +24,7 @@ class Pattern:
 
     def __post_init__(self):
         seen = set()
+        degs = [0] * self.k
         for a, b in self.edges:
             if not (0 <= a < self.k) or not (0 <= b < self.k):
                 raise ValueError(f"branch pair ({a}, {b}) outside 0..{self.k - 1}")
@@ -32,12 +33,16 @@ class Pattern:
             if (a, b) in seen:
                 raise ValueError(f"duplicate pattern edge ({a}, {b})")
             seen.add((a, b))
+            degs[a] += 1
+            degs[b] += 1
+        # computed once: the finder reads them on every search
+        object.__setattr__(self, "_degrees", tuple(degs))
 
     def degree(self, b: int) -> int:
-        return sum(1 for e in self.edges if b in e)
+        return self._degrees[b] if 0 <= b < self.k else 0
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(self.degree(b) for b in range(self.k))
+        return self._degrees
 
 
 def _pat(k, edges, name):
@@ -60,7 +65,7 @@ C4 = _pat(4, [(0, 1), (1, 2), (2, 3), (0, 3)], "c4")
 NAMED_PATTERNS = {"w4": W4, "k5": K5, "k5minus": K5_MINUS}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Embedding:
     """A subdivision certificate: branch images plus one path per pattern edge.
 
@@ -131,6 +136,8 @@ def verify_embedding(g: Graph, emb: Embedding) -> list[str]:
         out.append("branch map not injective")
     images = set(bm)
     internal_owner: dict[int, int] = {}
+    n = g.n
+    adj = g._adj_bits
     for i, (a, b) in enumerate(pat.edges):
         p = emb.paths[i]
         if len(p) < 2:
@@ -141,7 +148,7 @@ def verify_embedding(g: Graph, emb: Embedding) -> list[str]:
         if len(set(p)) != len(p):
             out.append(f"path {i} revisits a vertex")
         for x, y in zip(p, p[1:]):
-            if not (0 <= x < g.n and 0 <= y < g.n) or not g.has_edge(x, y):
+            if not (0 <= x < n and 0 <= y < n and adj[x] >> y & 1):
                 out.append(f"path {i} uses missing edge ({x}, {y})")
                 break
         for x in p[1:-1]:

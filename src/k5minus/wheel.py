@@ -314,20 +314,20 @@ def improve_once(
         (t for t in product(*(range(1, L + 1) for L in lens)) if list(t) != lens),
         key=lambda t: (sum(t), t),
     )
+    adj = g._adj_bits
     all_vertices = frozenset(range(g.n))
     for t in tuples:
         cuts = tuple(h.spokes[i][t[i]] for i in range(4))
-        interiors = set()
-        for i in range(4):
-            interiors.update(h.spokes[i][: t[i]])
-        allowed = all_vertices - interiors
-        if any(
-            sum(1 for w in g.neighbors(c) if w in allowed) < 2 for c in cuts
-        ):
+        interiors = [v for i in range(4) for v in h.spokes[i][: t[i]]]
+        allowed = (1 << g.n) - 1
+        for v in interiors:
+            allowed &= ~(1 << v)
+        if any((adj[c] & allowed).bit_count() < 2 for c in cuts):
             continue
+        restrict = all_vertices.difference(interiors)
         for order in _C4_ORDERS:
             anchors = {j: cuts[order[j]] for j in range(4)}
-            emb = find_subdivision(g, C4, anchors=anchors, restrict=allowed, tracker=tracker)
+            emb = find_subdivision(g, C4, anchors=anchors, restrict=restrict, tracker=tracker)
             if isinstance(emb, BudgetExceeded):
                 return emb
             if emb is None:

@@ -171,6 +171,44 @@ def test_deep_subdivision_has_no_recursion_limit():
     assert verify_embedding(g, emb) == []
 
 
+# Hosts for an anchored C4 search with A=0, B=1, C=2, D=3.  The A-B edge is
+# routed first, and its shortest path A-x-B (x=4) takes the only way from B
+# to C, so the search must come back to the A-B route for a longer path.
+_DETOUR = [(0, 4), (4, 1), (4, 2), (2, 3), (0, 5), (5, 6), (6, 7), (7, 1)]
+
+
+def _anchored_c4(g):
+    tracker = BudgetTracker(100_000)
+    emb = find_subdivision(
+        g, C4, anchors={0: 0, 1: 1, 2: 2, 3: 3}, backend="py", tracker=tracker
+    )
+    assert emb is not None and not isinstance(emb, BudgetExceeded)
+    assert verify_embedding(g, emb) == []
+    return emb.branch_map, emb.paths, tracker.used
+
+
+def test_route_grows_past_entry_layers():
+    # the A-B route is entered with layers as deep as A (distance 2); when
+    # B-C fails and the route resumes, its detour A-5-6-7-B needs one more
+    # layer.  Embedding and node count as the kernel gave when it built
+    # every layer on entry.
+    g = Graph(8, _DETOUR + [(0, 3)])
+    assert _anchored_c4(g) == (
+        (0, 1, 2, 3), ((0, 5, 6, 7, 1), (0, 3), (1, 4, 2), (2, 3)), 30
+    )
+
+
+def test_resumed_route_grows_layers_again():
+    # the detour A-5-6-7-B takes the only A-D path, A-5-D, so the later A-D
+    # route backtracks into the A-B route a second time, which grows its
+    # layers again, from the level it stopped at, to reach A-8-...-12-B.
+    # Values as the kernel gave when it built every layer on entry.
+    g = Graph(13, _DETOUR + [(5, 3), (0, 8), (8, 9), (9, 10), (10, 11), (11, 12), (12, 1)])
+    assert _anchored_c4(g) == (
+        (0, 1, 2, 3), ((0, 8, 9, 10, 11, 12, 1), (0, 5, 3), (1, 4, 2), (2, 3)), 75
+    )
+
+
 @pytest.fixture(scope="session")
 def compiled_kernel(tmp_path_factory):
     """The shipped `_finder_c.c`, built with the host C compiler."""
@@ -241,6 +279,33 @@ def test_backends_identical(with_compiled):
                     anchors[b] = rng.choice(free)
         limit = rng.choice((30, 500, 20_000, 200_000))
         args = (g, pat, limit)
+        assert _outcome(*args, "c", anchors, restrict) == _outcome(
+            *args, "py", anchors, restrict
+        )
+    # sparse subdivided hosts: branch images are often three or more steps
+    # apart, so routes go past the distance layers they were entered with
+    for _ in range(150):
+        base = random_graph(rng.randint(5, 9), rng.choice((0.5, 0.7, 0.9)), rng.randrange(10**6))
+        n, edges = base.n, []
+        for a, b in base.edges():
+            chain = [a, *range(n, min(n + rng.randint(0, 3), 64)), b]
+            n += len(chain) - 2
+            edges += zip(chain, chain[1:])
+        label = rng.sample(range(n), n)
+        g = Graph(n, [(label[a], label[b]) for a, b in edges])
+        pat = rng.choice((W4, K5_MINUS, C4))
+        restrict = {v for v in range(n) if rng.random() < 0.9} if rng.random() < 0.5 else None
+        pool = sorted(restrict) if restrict is not None else list(range(n))
+        anchors = {}
+        for b in range(pat.k):
+            if rng.random() < (0.9 if pat is C4 else 0.25):
+                free = [
+                    v for v in pool
+                    if g.degree(v) >= pat.degree(b) and v not in anchors.values()
+                ]
+                if free:
+                    anchors[b] = rng.choice(free)
+        args = (g, pat, rng.choice((500, 20_000)))
         assert _outcome(*args, "c", anchors, restrict) == _outcome(
             *args, "py", anchors, restrict
         )

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from k5minus.graphs import (
     write_edge_list,
     write_graph6,
 )
+from k5minus.generator import random_graph
 
 
 def complete(n):
@@ -198,3 +201,18 @@ def test_components_after_removal():
     c5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
     comps = components(c5, {0, 2})
     assert comps == [[1], [3, 4]]
+
+
+def test_components_match_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randint(0, 40)
+        g = random_graph(n, rng.choice((0.03, 0.08, 0.15, 0.3)), rng.randrange(10**6))
+        removed = {v for v in range(n) if rng.random() < rng.choice((0.0, 0.1, 0.3))}
+        h = nx.Graph()
+        h.add_nodes_from(v for v in range(n) if v not in removed)
+        h.add_edges_from((u, v) for u, v in g.edges() if u not in removed and v not in removed)
+        # each component sorted, components ordered by least vertex
+        want = sorted(sorted(c) for c in nx.connected_components(h))
+        assert components(g, removed) == want
