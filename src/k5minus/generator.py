@@ -175,6 +175,6 @@ def generate_4connected(
         g = random_graph(n, density, seed + i)
         if g.min_degree() < 4:
             continue
-        if vertex_connectivity(g) >= 4:
+        if vertex_connectivity(g, 4) >= 4:
             return g
     raise ExhaustedAttempts(attempts)

@@ -6,10 +6,10 @@ masks on first use.  graph6 decoding reads each column of the upper triangle
 as one integer, the mask of a vertex's lower neighbours, and mirrors its bits
 into the masks of those neighbours.  `components`, `component_masks` and
 `neighbourhood` work on the masks, as do the finder kernel, `bridges`,
-`wheel.improve_once` and `verify_embedding`, so a typical extraction never
-builds the tuples.  Graph values never change after construction (the lazy
-tuple fill is idempotent), so they can be shared freely between concurrent
-searches.
+`wheel.improve_once`, `verify_embedding` and the flows in `connectivity`, so
+a typical extraction never builds the tuples.  Graph values never change
+after construction (the lazy tuple fill is idempotent), so they can be shared
+freely between concurrent searches.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from k5minus import connectivity
 from k5minus.connectivity import (
     PathSystem,
     Separator,
@@ -15,7 +16,7 @@ from k5minus.connectivity import (
     verify_separator,
 )
 from k5minus.graphs import Graph, components
-from k5minus.generator import random_graph
+from k5minus.generator import random_graph, torus
 
 
 def complete(n):
@@ -83,8 +84,8 @@ def test_separator_c5():
     sep = find_separator(cycle(5), 3)
     assert sep is not None and len(sep.cut) == 2
     assert verify_separator(cycle(5), sep)
-    # lex-least pair of nonadjacent cycle vertices
-    assert sep.cut == frozenset({0, 2})
+    # the flow cut of the first pair (0, 2): the neighbours of 0
+    assert sep.cut == frozenset({1, 4})
 
 
 def test_separator_complete_none():
@@ -212,12 +213,43 @@ def test_kappa_least_degree_vertex_in_every_min_cut():
 
 
 def test_separator_flow_cut_branch():
-    # comb(150, 3) is past the brute-force bound, so the cut comes from flow
+    # a scan of all comb(150, 3) vertex sets would be far too large; the cut
+    # comes from the flow, as every cut does
     g = prism(75)
     assert comb(g.n, 3) > 500_000
     sep = find_separator(g, 4)
     assert sep is not None and verify_separator(g, sep)
     assert sep.cut == frozenset({1, 74, 75})  # the first pair's cut: N(0)
+
+
+def torus_with_k5():
+    """Torus 10x10 with a K5 on 100..104 joined to 97, 98 and 99: n = 105,
+    minimum degree 4, and {97, 98, 99} is the only cut of size 3."""
+    k5 = [(a, b) for a in range(100, 105) for b in range(a + 1, 105)]
+    joins = [(a, b) for a in range(100, 105) for b in (97, 98, 99)]
+    return Graph(105, torus(10, 10).edges() + k5 + joins)
+
+
+def test_separator_is_the_flow_cut(monkeypatch):
+    # one candidate cut is tried, not a scan over comb(105, 3) vertex sets
+    g = torus_with_k5()
+    assert g.min_degree() == 4
+    calls = []
+    real = connectivity.separator_of
+    monkeypatch.setattr(connectivity, "separator_of", lambda *a: calls.append(a) or real(*a))
+    sep = find_separator(g, 4)
+    assert sep is not None and sep.cut == frozenset({97, 98, 99})
+    assert verify_separator(g, sep)
+    assert len(calls) == 1
+
+
+def test_vertex_connectivity_cap():
+    assert vertex_connectivity(complete(6), 3) == 3
+    assert vertex_connectivity(cycle(5), 4) == 2
+    assert vertex_connectivity(octahedron(), 4) == 4
+    assert vertex_connectivity(octahedron(), 0) == 0
+    with pytest.raises(ValueError):
+        vertex_connectivity(cycle(5), -1)
 
 
 def _differential_graphs():
@@ -232,7 +264,10 @@ def test_kappa_matches_networkx():
         h = nx.Graph()
         h.add_nodes_from(range(g.n))
         h.add_edges_from(g.edges())
-        assert vertex_connectivity(g) == nx.node_connectivity(h), g.edges()
+        kappa = nx.node_connectivity(h)
+        assert vertex_connectivity(g) == kappa, g.edges()
+        for k in range(1, 6):
+            assert vertex_connectivity(g, k) == min(kappa, k), (g.edges(), k)
 
 
 def test_separator_matches_networkx():

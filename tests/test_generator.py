@@ -1,5 +1,8 @@
+import hashlib
+
 import pytest
 
+from k5minus import connectivity
 from k5minus.connectivity import vertex_connectivity, find_separator
 from k5minus.generator import (
     BadSpec,
@@ -14,6 +17,7 @@ from k5minus.generator import (
     random_graph,
     torus,
 )
+from k5minus.graphs import write_graph6
 
 
 def test_lcg_stream_is_pinned():
@@ -86,3 +90,36 @@ def test_generate_4connected_n5_is_k5():
 def test_generate_4connected_exhaustion():
     with pytest.raises(ExhaustedAttempts):
         generate_4connected(30, 0.05, seed=0, attempts=5)
+
+
+def _criterion_1_density(n: int) -> float:
+    return 0.85 if n <= 8 else 0.6 if n <= 14 else 0.45 if n <= 24 else 0.35
+
+
+def test_generate_4connected_outputs_pinned():
+    # the first 35 graphs of the criterion-1 corpus, n = 6..40, byte for byte
+    lines = "".join(
+        write_graph6(generate_4connected(n, _criterion_1_density(n), seed=10_000 + n - 6)) + "\n"
+        for n in range(6, 41)
+    )
+    assert hashlib.sha256(lines.encode()).hexdigest() == (
+        "2d889c9081e7416c93ae23c789d0ea0500cc7cf21712d6946ebe604fbcca72f2"
+    )
+
+
+def test_generate_4connected_flows_stop_at_4(monkeypatch):
+    # "is kappa >= 4?" stops each s,t flow at 4 units: a 4-connected
+    # sample gives exactly 4 paths per pair
+    real = connectivity._flow_paths_cut
+    counts = [0, 0]
+
+    def counted(*args, **kwargs):
+        paths, cut = real(*args, **kwargs)
+        counts[0] += 1
+        counts[1] += len(paths)
+        return paths, cut
+
+    monkeypatch.setattr(connectivity, "_flow_paths_cut", counted)
+    g = generate_4connected(40, 0.35, seed=10_034)
+    assert counts == [216, 864]
+    assert g._adj is None  # the flows read the neighbour masks only
